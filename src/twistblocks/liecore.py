@@ -22,8 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonDominant, SingularPoint, UnsupportedType
-from .util import (fraction_lcm_den, np_rows_not_in, rational_inverse,
-                   solve_rational)
+from .util import fraction_lcm_den, rational_inverse, solve_rational
 
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
@@ -236,11 +235,6 @@ class RootDatum:
                         acc += int(x[i]) * self._form_num[i][j] * int(y[j])
         return Fraction(int(acc), self._form_den)
 
-    def pairing(self, weight, coweight):
-        """Natural pairing lambda(x) of a weight with a coweight (Fraction)."""
-        alpha = solve_rational([list(r) for r in self.cartan], list(weight))
-        return sum(a * Fraction(m) for a, m in zip(alpha, coweight))
-
     def exponent_vector(self, xi):
         """y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
         n = self.rank
@@ -344,34 +338,31 @@ class RootDatum:
             return hit
 
     def _signed_orbit_nolock(self, key):
+        # Walk the orbit layer by layer in the length of w.  For regular x the
+        # left descents of w are the negative coordinates of w.x (Humphreys,
+        # Reflection Groups and Coxeter Groups, 1.6-1.7): s_i goes one layer
+        # up exactly on rows with coordinate i > 0.  An image is kept only
+        # when i is its first negative coordinate, so every orbit point has
+        # one parent and is generated once.
         if any(x <= 0 for x in key):
             raise ValueError("signed_orbit needs a strictly dominant vector")
         a = self.cartan
-        n = self.rank
         cur = np.array([key], dtype=np.int64)
-        prev = None
         chunks = [cur]
         signs = [np.ones(1, dtype=np.int8)]
         sign = 1
         while True:
-            cands = []
-            for i in range(n):
-                mask = cur[:, i] != 0
-                if not mask.any():
-                    continue
-                w = cur[mask].copy()
-                w -= w[:, i:i + 1] * a[:, i][None, :]
-                cands.append(w)
-            if not cands:
-                break
-            cand = np.unique(np.vstack(cands), axis=0)
-            cand = np_rows_not_in(cand, prev)
-            if len(cand) == 0:
+            nxt = []
+            for i in range(self.rank):
+                w = cur[cur[:, i] > 0]
+                w -= w[:, i:i + 1] * a[:, i]
+                nxt.append(w[(w[:, :i] > 0).all(axis=1)])
+            cur = np.vstack(nxt)
+            if not len(cur):
                 break
             sign = -sign
-            chunks.append(cand)
-            signs.append(np.full(len(cand), sign, dtype=np.int8))
-            prev, cur = cur, cand
+            chunks.append(cur)
+            signs.append(np.full(len(cur), sign, dtype=np.int8))
         return np.vstack(chunks), np.concatenate(signs)
 
     # -- dimensions and weight multiplicities --------------------------
@@ -469,10 +460,6 @@ class RootDatum:
                 assert num % denom == 0, "Freudenthal recursion must stay integral"
                 mult[mu] = num // denom
         return mult
-
-    def weight_multiplicities(self, weight):
-        """Spec surface: identical to weight_system."""
-        return self.weight_system(weight)
 
     # -- tensor products ------------------------------------------------
 

@@ -4,8 +4,6 @@ deterministic summation."""
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 
 def rational_inverse(mat):
     """Invert a square integer/rational matrix exactly.
@@ -160,7 +158,6 @@ def smith_normal_form(mat):
                 add_col(i + 1, i, 1)
                 # re-reduce the 2x2 block
                 while a[i + 1][i] != 0:
-                    q = a[i][i] // a[i + 1][i] if a[i + 1][i] else 0
                     if abs(a[i + 1][i]) <= abs(a[i][i]):
                         qq = a[i][i] // a[i + 1][i]
                         add_row(i + 1, i, -qq)
@@ -169,9 +166,6 @@ def smith_normal_form(mat):
                     qq = a[i][i + 1] // a[i][i]
                     add_col(i, i + 1, -qq)
                 changed = True
-        if changed:
-            # clean signs / ordering by re-running the main loop cheaply
-            pass
     divisors = [abs(a[i][i]) for i in range(r)]
     return divisors, U, V
 
@@ -220,13 +214,3 @@ def dual_lattice_basis(constraint_rows):
     basis = [[vinv[i][j] / divisors[j] for j in range(n)] for i in range(n)]
     return basis
 
-
-def np_rows_not_in(arr, other):
-    """Rows of arr that do not occur in other (both 2-D, same dtype/width)."""
-    if other is None or len(other) == 0:
-        return arr
-    a = np.ascontiguousarray(arr)
-    b = np.ascontiguousarray(other)
-    void = np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
-    mask = ~np.isin(a.view(void).ravel(), b.view(void).ravel())
-    return arr[mask]

@@ -2,7 +2,8 @@
 
 Nothing here may call back into the computation paths it validates: the
 sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
-normal form, and the twisted level marks are a frozen table.
+normal form, the twisted level marks are a frozen table, and Weyl orbits
+come from a set-based search that uses only the Cartan matrix.
 """
 
 import numpy as np
@@ -95,6 +96,30 @@ def weyl_order_classical(lie_type, rank):
     if lie_type == "D":
         return 2 ** (rank - 1) * math.factorial(rank)
     return {"E": 51840, "F": 1152, "G": 12}[lie_type]
+
+
+def signed_orbit_bfs(cartan, vec):
+    """{orbit row: (-1)^length} of a strictly dominant vec.
+
+    Plain breadth-first search over the simple reflections
+    v -> v - v[i] * (column i of the Cartan matrix); for a regular vector
+    the search depth of a point w.vec is the length of w.
+    """
+    a = [[int(x) for x in row] for row in cartan]
+    n = len(a)
+    start = tuple(int(x) for x in vec)
+    signs = {start: 1}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = tuple(v[k] - v[i] * a[k][i] for k in range(n))
+                if w not in signs:
+                    signs[w] = -signs[v]
+                    nxt.append(w)
+        frontier = nxt
+    return signs
 
 
 def dual_coxeter_classical(lie_type, rank):

@@ -6,7 +6,8 @@ import pytest
 
 from twistblocks import (CharacterValue, NonDominant, SingularPoint,
                          UnsupportedType, build_root_datum)
-from oracles import SUPPORTED_TYPES, dual_coxeter_classical, weyl_order_classical
+from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, signed_orbit_bfs,
+                     weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -75,10 +76,31 @@ def test_dual_coxeter_oracle():
 
 def test_weyl_order_matches_classical_table():
     for t, r in SUPPORTED_TYPES:
-        if weyl_order_classical(t, r) > 60000:
-            continue  # the biggest groups are counted in the acceptance suite
         rd = build_root_datum(t, r)
         assert rd.weyl_order == weyl_order_classical(t, r)
+
+
+def test_signed_orbit_rows_and_signs():
+    rng = random.Random(37)
+    for t, r in SUPPORTED_TYPES:
+        rd = build_root_datum(t, r)
+        order = weyl_order_classical(t, r)
+        lam_rho = tuple(rng.randrange(1, 4) for _ in range(r))
+        for vec in (rd.rho, lam_rho):
+            orb, signs = rd.signed_orbit(vec)
+            assert orb.dtype == np.int64 and signs.dtype == np.int8
+            assert tuple(orb[0]) == vec
+            assert len(orb) == len(signs) == order
+            rows = np.ascontiguousarray(orb).view(np.dtype((np.void, 8 * r)))
+            assert len(np.unique(rows)) == order
+            # (-1)^length, the length being the number of positive roots
+            # the point pairs negatively with
+            neg = sum((orb @ cv < 0).astype(np.int64) for cv in rd.coroot_pairings)
+            assert np.array_equal(signs, np.where(neg % 2, -1, 1))
+            if order <= 1920:
+                got = {tuple(int(x) for x in row): int(s)
+                       for row, s in zip(orb, signs)}
+                assert got == signed_orbit_bfs(rd.cartan, vec)
 
 
 def test_weyl_group_elements_permute_roots():
