@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .twist import TwistData, weight_alphabet, ambient_alphabet, _bounded_lex
+from .twist import TwistData, weight_alphabet, _bounded_lex
 from .util import dual_lattice_basis, lattice_index
 
 # defensive bound on folding; the affine action is proper, so this only
@@ -81,48 +81,29 @@ def lattice_orders(twist, c):
     return order_t, order_ts
 
 
-def _points_identity(twist, c):
-    """A_c = T_c^reg/W for the trivial twist: xi = nu^{-1}(lam+rho)/(c+h).
+def _points(twist, c):
+    """Torus points xi_j = scale_j (label_j + 1) / (c + h) and their labels.
 
-    alpha_j(nu^{-1}(lam+rho)) = <alpha_j, lam+rho> = d_j (lam_j + 1).
-    """
-    rd = twist.ambient
-    nshift = twist.shifted_level(c)
-    labels = ambient_alphabet(twist, c)
-    pts = []
-    for lam in labels:
-        xi = tuple(rd._sym[j] * (lam[j] + 1) / nshift for j in range(rd.rank))
-        pts.append(TorusPoint(xi))
-    return pts, labels
-
-
-def _points_standard4(twist, c):
-    """xi = nu^{-1}(rho+lam)/(c+h) in the form with <theta_l|theta_l> = 4.
-
-    That form is twice the restriction of the ambient normalized form, so
-    the coweight coordinates are 2 d_j (lam_j + 1) / (c + h).
+    * identity: labels A_c, scale d_j, since
+      alpha_j(nu^{-1}(lam+rho)) = <alpha_j, lam+rho> = d_j (lam_j + 1);
+    * standard4: labels D_{c,sigma}, scale 2 d_j, since the form with
+      <theta_l|theta_l> = 4 is twice the restriction of the ambient one;
+    * diagram: labels the coweight alphabet
+      {lam_check dominant : (lam_check, theta_l) <= c}, scale 1, i.e.
+      xi = (rho_check + lam_check)/(c+h).
     """
     fixed = twist.fixed
+    tag = twist.kind.tag
+    if tag in ("diagram2", "diagram3"):
+        labels = _bounded_lex([int(m) for m in fixed.marks], c)
+        scale = [1] * fixed.rank
+    else:
+        labels = weight_alphabet(twist, c).members
+        scale = [(2 if tag == "standard4" else 1) * d for d in fixed._sym]
     nshift = twist.shifted_level(c)
-    labels = weight_alphabet(twist, c).members
-    pts = []
-    for lam in labels:
-        xi = tuple(2 * fixed._sym[j] * (lam[j] + 1) / nshift
-                   for j in range(fixed.rank))
-        pts.append(TorusPoint(xi))
-    return pts, labels
-
-
-def _points_diagram(twist, c):
-    """xi = (rho_check + lam_check)/(c+h) over the coweight alphabet
-    {lam_check dominant : (lam_check, theta_l) <= c}."""
-    fixed = twist.fixed
-    nshift = twist.shifted_level(c)
-    labels = _bounded_lex([int(m) for m in fixed.marks], c)
-    pts = []
-    for lck in labels:
-        xi = tuple(Fraction(lck[j] + 1, nshift) for j in range(fixed.rank))
-        pts.append(TorusPoint(xi))
+    pts = [TorusPoint(tuple(Fraction(scale[j] * (lab[j] + 1), nshift)
+                            for j in range(fixed.rank)))
+           for lab in labels]
     return pts, labels
 
 
@@ -135,13 +116,7 @@ def enumerate_sigma_c(twist, c):
     twist._require_standard("the regular-point enumeration")
     if c < 1:
         raise ValueError("level must be >= 1")
-    tag = twist.kind.tag
-    if tag == "identity":
-        pts, labels = _points_identity(twist, c)
-    elif tag == "standard4":
-        pts, labels = _points_standard4(twist, c)
-    else:
-        pts, labels = _points_diagram(twist, c)
+    pts, labels = _points(twist, c)
 
     alphabet_size = len(weight_alphabet(twist, c))
     if len(pts) != alphabet_size:

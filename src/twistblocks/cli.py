@@ -11,15 +11,14 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .dims import (CurveRequest, ThreePointRequest, classical_verlinde,
                    factorized_dimension, fusion_coefficient, general_dimension,
                    twisted_three_point)
-from .errors import (IllegalPair, SchemaError, UnsupportedCombination,
-                     VerlindeError)
+from .errors import (IllegalPair, IntegralityError, SchemaError,
+                     UnsupportedCombination, VerlindeError)
 from .kacwalton import kac_walton_dimension
 from .liecore import build_root_datum
 from .twist import ambient_alphabet, build_twist, twist_kind, weight_alphabet
@@ -45,7 +44,6 @@ class Request:
     genus_bar: int = 0
     pairs: int = 0
     tolerance: float = 1e-5
-    threads: int = 1
     out_format: str = "table"
 
     def echo(self):
@@ -62,8 +60,6 @@ class Request:
                         "ambient": [list(w) for w in self.weights_ambient]},
             "genus_bar": self.genus_bar,
             "pairs": self.pairs,
-            # the pool size is an execution detail: echoing it would break
-            # byte-determinism of structured output across thread counts
             "options": {"tolerance": self.tolerance, "format": self.out_format},
         }
 
@@ -163,6 +159,7 @@ def parse_request(text):
     tol = opts.get("tolerance", 1e-5)
     need("options.tolerance", isinstance(tol, (int, float)) and tol > 0,
          "must be a positive number")
+    # accepted for compatibility; rows always run one after another
     threads = opts.get("threads", 1)
     need("options.threads", isinstance(threads, int) and threads >= 1,
          "must be an integer >= 1")
@@ -191,7 +188,7 @@ def parse_request(text):
                    twist_tag=tag, level=doc["level"], computation=comp,
                    weights_twisted=wt, weights_ambient=wa,
                    genus_bar=genus_bar, pairs=pairs, tolerance=float(tol),
-                   threads=threads, out_format=fmt)
+                   out_format=fmt)
 
 
 def _result_row(inputs, res):
@@ -228,7 +225,7 @@ def run_request(req):
             res = fusion_coefficient(twist, c, a, b, e)
             return _result_row({"lambda": list(a), "mu": list(b), "eta": list(e)}, res)
 
-        rows = _pooled_map(frow, triples, req.threads)
+        rows = [frow(tr) for tr in triples]
         pipelines = ("twisted_verlinde",)
     elif req.computation in ("general", "factorized"):
         creq = CurveRequest(twist=twist, level=c, genus_bar=req.genus_bar,
@@ -255,7 +252,7 @@ def run_request(req):
                     "value": res.value, "residual": res.residual,
                     "value_kac_walton": kw, "agree": kw == res.value}
 
-        rows = _pooled_map(crow, triples, req.threads)
+        rows = [crow(tr) for tr in triples]
         agreement = all(r["agree"] for r in rows)
         pipelines = ("twisted_verlinde", "kac_walton")
     else:  # pragma: no cover - parse_request already rejected it
@@ -266,14 +263,8 @@ def run_request(req):
                   results=tuple(rows), agreement=agreement, timing=timing)
 
 
-def _pooled_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def report_ok(rep, tolerance):
+    """The residual judge: every row within tolerance, no disagreement."""
     if any(r["residual"] > tolerance for r in rep.results):
         return False
     if rep.agreement is False:
@@ -285,7 +276,7 @@ def emit_report(rep, out_format):
     """Render a Report; the structured form is byte-deterministic.
 
     Wall-clock timing is deliberately serialized as null so identical
-    requests produce identical bytes across runs and thread counts.
+    requests produce identical bytes across runs.
     """
     if out_format == "structured":
         doc = {"version": rep.version, "request": rep.request,
@@ -340,7 +331,8 @@ def main(argv=None):
                     "Kac-Walton recursion, factorization.")
     ap.add_argument("request", help="request file, or - for stdin")
     ap.add_argument("--format", choices=("table", "structured"), default=None)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=None,
+                    help="accepted for compatibility; has no effect")
     ap.add_argument("--tolerance", type=float, default=None)
     args = ap.parse_args(argv)
 
@@ -351,13 +343,17 @@ def main(argv=None):
             with open(args.request, "r", encoding="utf-8") as fh:
                 text = fh.read()
         req = parse_request(text)
-        if args.threads is not None:
-            req.threads = max(1, args.threads)
         if args.tolerance is not None:
+            if not args.tolerance > 0:
+                raise SchemaError("--tolerance: must be a positive number")
             req.tolerance = args.tolerance
         if args.format is not None:
             req.out_format = args.format
         rep = run_request(req)
+    except IntegralityError as exc:
+        # a numerical failure of a pipeline, not a bad request
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except VerlindeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@
 the finite regular torus classes, the general cover formula, and the
 factorization recursion."""
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +15,6 @@ from .twist import ambient_alphabet, build_twist
 from .util import round_half_away, tree_sum
 
 _IMAG_TOL = 1e-7
-_RESIDUAL_TOL = 1e-5
 
 # weight-multiplicity sums are exact at any point; prefer them for ambient
 # characters unless the representation is large
@@ -58,15 +59,17 @@ class CurveRequest:
 
 
 def _finalize(raw, context, allow_negative=False):
+    """Round raw to the nearest integer and carry its residual.
+
+    The residual is reported, not judged: the caller holds the tolerance
+    (the CLI checks every row against the request's).
+    """
     raw = complex(raw)
     if abs(raw.imag) > _IMAG_TOL:
         raise IntegralityError(f"{context}: imaginary part {raw.imag:.3e} "
                                f"exceeds {_IMAG_TOL}")
     value = round_half_away(raw.real)
     residual = abs(raw - value)
-    if residual > _RESIDUAL_TOL:
-        raise IntegralityError(f"{context}: raw value {raw} has residual "
-                               f"{residual:.3e} above {_RESIDUAL_TOL}")
     if value < 0 and not allow_negative:
         raise IntegralityError(f"{context}: negative dimension {value} from {raw}")
     return DimensionResult(value=value, raw=raw, residual=residual)
@@ -89,38 +92,42 @@ def _check_ambient(twist, c, nu, slot):
     return nu
 
 
-# -- character and denominator evaluation at enumerated points ------------
+# -- the torus points of one (ambient, twist, level), with values ----------
 
-def _memo(twist, key, fn):
-    with twist._lock:
-        if not hasattr(twist, "_char_memo"):
-            twist._char_memo = {}
-        hit = twist._char_memo.get(key)
-    if hit is not None:
-        return hit
-    val = fn()
-    with twist._lock:
-        twist._char_memo[key] = val
-    return val
+class _PointTable:
+    """Sigma_c for one twist and level, each point's exact exponent vectors,
+    and every value the point sums need as one list over the points."""
 
+    def __init__(self, twist, c):
+        self.twist = twist
+        self.enum = enumerate_sigma_c(twist, c)
+        self.fixed_y = [twist.fixed.exponent_vector(pt.xi) for pt in self.enum.points]
+        self.ambient_y = [twist.ambient_exponents(pt.xi) for pt in self.enum.points]
 
-def _fixed_char(twist, lam, pt):
-    def compute():
-        y = twist.fixed.exponent_vector(pt.xi)
-        return twist.fixed.character_at_exponents(lam, y).value
-    return _memo(twist, ("fx", lam, pt.xi), compute)
+    @functools.cache
+    def fixed_char(self, lam):
+        fixed = self.twist.fixed
+        return [fixed.character_at_exponents(lam, y).value for y in self.fixed_y]
 
+    @functools.cache
+    def ambient_char(self, nu):
+        rd = self.twist.ambient
+        small = rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP
+        values = []
+        for y in self.ambient_y:
+            method = "weights" if small or not rd.point_is_regular(y) else "quotient"
+            values.append(rd.character_at_exponents(nu, y, method=method).value)
+        return values
 
-def _ambient_char(twist, nu, pt):
-    def compute():
-        y = twist.ambient_exponents(pt.xi)
-        rd = twist.ambient
-        if rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
-            return rd.character_at_exponents(nu, y, method="weights").value
-        if rd.point_is_regular(y):
-            return rd.character_at_exponents(nu, y).value
-        return rd.character_at_exponents(nu, y, method="weights").value
-    return _memo(twist, ("amb", nu, pt.xi), compute)
+    @functools.cached_property
+    def delta_sigma(self):
+        return [_delta_from_exponents(self.twist.fixed, y, "Delta_sigma")
+                for y in self.fixed_y]
+
+    @functools.cached_property
+    def delta(self):
+        return [_delta_from_exponents(self.twist.ambient, y, "Delta")
+                for y in self.ambient_y]
 
 
 def _delta_from_exponents(rd, y, context):
@@ -133,24 +140,34 @@ def _delta_from_exponents(rd, y, context):
     return total
 
 
-def _delta_sigma(twist, pt):
-    def compute():
-        y = twist.fixed.exponent_vector(pt.xi)
-        return _delta_from_exponents(twist.fixed, y, "Delta_sigma")
-    return _memo(twist, ("ds", pt.xi), compute)
+@functools.cache
+def _table(ambient, tag, c):
+    return _PointTable(build_twist(ambient, tag), c)
 
 
-def _delta_ambient(twist, pt):
-    def compute():
-        y = twist.ambient_exponents(pt.xi)
-        return _delta_from_exponents(twist.ambient, y, "Delta")
-    return _memo(twist, ("da", pt.xi), compute)
+def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
+    """Sum over the points of
+    prod chi_fixed * prod chi_ambient * Delta_sigma^a / Delta^dexp.
 
-
-def _enumeration(twist, c):
-    def compute():
-        return enumerate_sigma_c(twist, c)
-    return _memo(twist, ("enum", c), compute)
+    Every formula goes through this one loop: each term's factors are
+    multiplied in one fixed order and the terms are tree-summed, so the
+    results are reproducible bit for bit.
+    """
+    columns = ([table.fixed_char(lam) for lam in fixed]
+               + [table.ambient_char(nu) for nu in ambient])
+    ds = table.delta_sigma if a else None
+    d = table.delta if dexp else None
+    terms = []
+    for k in range(len(table.enum.points)):
+        term = complex(1.0)
+        for col in columns:
+            term *= col[k]
+        if a:
+            term *= ds[k] ** a
+        if dexp:
+            term *= d[k] ** (-dexp)
+        terms.append(term)
+    return tree_sum(terms)
 
 
 # -- the formulas ----------------------------------------------------------
@@ -160,19 +177,11 @@ def identity_twist(rd):
     return build_twist(rd, "identity")
 
 
-def _classical_raw(twist_id, c, g, weights):
+def _classical_raw(rd, c, g, weights):
     """|T_c|^{g-1} sum over A_c of prod chi * Delta^{1-g}; no stability gate."""
-    enum = _enumeration(twist_id, c)
-    terms = []
-    for pt in enum.points:
-        term = complex(1.0)
-        for lam in weights:
-            term *= _fixed_char(twist_id, lam, pt)
-        d = _delta_ambient(twist_id, pt)
-        term *= d ** (1 - g)
-        terms.append(term)
-    total = tree_sum(terms)
-    return total * float(Fraction(enum.order_T) ** (g - 1))
+    table = _table(rd, "identity", c)
+    total = _point_sum(table, fixed=weights, dexp=g - 1)
+    return total * float(Fraction(table.enum.order_T) ** (g - 1))
 
 
 def classical_verlinde(rd, c, g, weights):
@@ -186,7 +195,7 @@ def classical_verlinde(rd, c, g, weights):
                     for i, w in enumerate(weights))
     if g == 0 and len(weights) < 3:
         raise UnstableInput("genus 0 needs at least three insertions")
-    return _finalize(_classical_raw(tw, c, g, weights),
+    return _finalize(_classical_raw(rd, c, g, weights),
                      f"classical N_{g}{weights}")
 
 
@@ -200,14 +209,9 @@ def twisted_three_point(req):
     lam = _check_twisted(twist, c, req.lam, "lambda")
     mu = _check_twisted(twist, c, req.mu, "mu")
     nu = _check_ambient(twist, c, req.nu, "nu")
-    enum = _enumeration(twist, c)
-    terms = []
-    for pt in enum.points:
-        term = _fixed_char(twist, lam, pt) * _fixed_char(twist, mu, pt)
-        term *= _ambient_char(twist, nu, pt)
-        term *= _delta_sigma(twist, pt)
-        terms.append(term)
-    raw = tree_sum(terms) / enum.order_Tsigma
+    table = _table(twist.ambient, twist.kind.tag, c)
+    raw = _point_sum(table, fixed=(lam, mu), ambient=(nu,), a=1) \
+        / table.enum.order_Tsigma
     return _finalize(raw, f"N(sigma;{lam},{mu},{nu})")
 
 
@@ -226,14 +230,8 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     eta = _check_twisted(twist, c, eta, "eta")
     # eta* = eta: the fixed algebras here have -1 in their Weyl groups
     assert twist.fixed.dual_weight(eta) == eta
-    enum = _enumeration(twist, c)
-    terms = []
-    for pt in enum.points:
-        term = _fixed_char(twist, lam, pt) * _fixed_char(twist, mu, pt)
-        term *= _fixed_char(twist, eta, pt)
-        term *= _delta_sigma(twist, pt)
-        terms.append(term)
-    raw = tree_sum(terms) / enum.order_Tsigma
+    table = _table(twist.ambient, twist.kind.tag, c)
+    raw = _point_sum(table, fixed=(lam, mu, eta), a=1) / table.enum.order_Tsigma
     return _finalize(raw, f"c^{eta}_{lam},{mu}", allow_negative=True)
 
 
@@ -271,25 +269,14 @@ def general_dimension(req):
     if a == 0:
         # no ramified pairs: the cover contributes nothing and the formula
         # degenerates to the classical sum over the full regular-class set
-        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
+        raw = _classical_raw(twist.ambient, c, gbar, mus)
         return _finalize(raw, f"N_({gbar},a=0){mus}")
-    enum = _enumeration(twist, c)
+    table = _table(twist.ambient, twist.kind.tag, c)
     dexp = gbar - 1 + a
-    terms = []
-    for pt in enum.points:
-        term = complex(1.0)
-        for lam in lams:
-            term *= _fixed_char(twist, lam, pt)
-        for nu in mus:
-            term *= _ambient_char(twist, nu, pt)
-        if a:
-            term *= _delta_sigma(twist, pt) ** a
-        if dexp:
-            term *= _delta_ambient(twist, pt) ** (-dexp)
-        terms.append(term)
+    total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
+    enum = table.enum
     factor = Fraction(enum.order_T) ** dexp / Fraction(enum.order_Tsigma) ** a
-    raw = tree_sum(terms) * float(factor)
-    return _finalize(raw, f"N_({gbar},a={a}){lams}{mus}")
+    return _finalize(total * float(factor), f"N_({gbar},a={a}){lams}{mus}")
 
 
 def factorized_dimension(req):
@@ -302,31 +289,27 @@ def factorized_dimension(req):
     twist, c, gbar = req.twist, req.level, req.genus_bar
     if a == 0:
         # empty product over pairs: plain classical Verlinde number
-        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
+        raw = _classical_raw(twist.ambient, c, gbar, mus)
         return _finalize(raw, f"factorized N_({gbar},a=0){mus}")
     dc = ambient_alphabet(twist, c)
     rd = twist.ambient
-    id_tw = identity_twist(rd)
-
-    def three_point(lam1, lam2, nu):
-        key = ("N3", lam1, lam2, nu, c)
-        return _memo(twist, key, lambda: twisted_three_point(
-            ThreePointRequest(twist=twist, level=c, lam=lam1, mu=lam2, nu=nu)).value)
+    # n3[k][i]: three-point number of pair k glued to the i-th weight of D_c
+    n3 = [[twisted_three_point(ThreePointRequest(
+               twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],
+               nu=nu)).value for nu in dc]
+          for k in range(a)]
 
     total = 0.0
-    tuples = [()]
-    for _ in range(a):
-        tuples = [t + (nu,) for t in tuples for nu in dc]
-    for nus in tuples:
+    for idx in itertools.product(range(len(dc)), repeat=a):
         coeff = 1
         for k in range(a):
-            coeff *= three_point(lams[2 * k], lams[2 * k + 1], nus[k])
+            coeff *= n3[k][idx[k]]
             if coeff == 0:
                 break
         if coeff == 0:
             continue
-        duals = tuple(rd.dual_weight(nu) for nu in nus)
-        classical = _classical_raw(id_tw, c, gbar, mus + duals)
+        duals = tuple(rd.dual_weight(dc[i]) for i in idx)
+        classical = _classical_raw(rd, c, gbar, mus + duals)
         total += coeff * classical
     return _finalize(total, f"factorized N_({gbar},a={a})")
 

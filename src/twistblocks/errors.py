@@ -38,7 +38,7 @@ class InconsistentRamification(VerlindeError):
 
 
 class IntegralityError(VerlindeError):
-    """A quantity that must round to an integer failed its residual bound."""
+    """A computed dimension has a large imaginary part or a negative value."""
 
 
 class SchemaError(VerlindeError):

@@ -17,7 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,11 +63,6 @@ def _cartan_matrix(lie_type, rank):
         a[0, 1] = -1
         a[1, 0] = -3
     return a
-
-
-class WeylElement(NamedTuple):
-    matrix: np.ndarray   # integer matrix on weight coordinates
-    sign: int            # determinant = (-1)^length
 
 
 @dataclass
@@ -117,7 +112,6 @@ class RootDatum:
         self._lock = threading.Lock()
         self._orbit_cache = {}
         self._weights_cache = {}
-        self._weyl_group = None
         self._weyl_order = None
 
     # -- static data -------------------------------------------------
@@ -281,20 +275,6 @@ class RootDatum:
 
     # -- Weyl group ----------------------------------------------------
 
-    def simple_reflection(self, i):
-        s = np.eye(self.rank, dtype=np.int64)
-        s[:, i] -= self.cartan[:, i]
-        return s
-
-    @property
-    def weyl_group(self):
-        """Full list of WeylElement, enumerated once and cached."""
-        with self._lock:
-            if self._weyl_group is None:
-                self._weyl_group = self._enumerate_weyl()
-                self._weyl_order = len(self._weyl_group)
-            return self._weyl_group
-
     @property
     def weyl_order(self):
         with self._lock:
@@ -302,27 +282,6 @@ class RootDatum:
                 self._weyl_order = len(self._signed_orbit_nolock(
                     tuple([1] * self.rank))[0])
             return self._weyl_order
-
-    def _enumerate_weyl(self):
-        n = self.rank
-        gens = [self.simple_reflection(i) for i in range(n)]
-        elems = [WeylElement(np.eye(n, dtype=np.int64), 1)]
-        seen = {elems[0].matrix.tobytes()}
-        frontier = [elems[0].matrix]
-        sign = 1
-        while frontier:
-            sign = -sign
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = g @ m
-                    key = prod.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(prod)
-                        elems.append(WeylElement(prod, sign))
-            frontier = nxt
-        return elems
 
     def signed_orbit(self, vec):
         """Weyl orbit of a strictly dominant vector with (-1)^length signs.

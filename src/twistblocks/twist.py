@@ -121,10 +121,6 @@ class TwistData:
         v = self.restriction_matrix @ np.array(weight, dtype=np.int64)
         return tuple(int(x) for x in v)
 
-    def fixed_exponents(self, xi):
-        """Exponent vector y on the fixed algebra for a fixed-Cartan point."""
-        return self.fixed.exponent_vector(xi)
-
     def ambient_exponents(self, xi):
         """Exponent vector of the same point for ambient weights.
 

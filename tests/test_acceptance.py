@@ -99,28 +99,28 @@ def test_acceptance_3_classical_reduction():
 
 
 def test_acceptance_4_orthogonality():
-    from twistblocks.dims import _delta_ambient, _fixed_char
+    from twistblocks.dims import _table
     failures = []
     for (t, r) in [("A", 1), ("A", 2), ("C", 2)]:
         rd = build_root_datum(t, r)
         data = tw(t, r, "identity")
         for c in (1, 2, 3):
-            enum = enumerate_sigma_c(data, c)
+            table = _table(rd, "identity", c)
+            enum, chi, delta = table.enum, table.fixed_char, table.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:
                 for nup in dc:
                     dual = rd.dual_weight(nup)
-                    s = sum(_fixed_char(data, nu, pt) * _fixed_char(data, dual, pt)
-                            * _delta_ambient(data, pt) for pt in enum.points)
+                    s = sum(x * y * d for x, y, d in zip(chi(nu), chi(dual), delta))
                     s /= enum.order_T
                     if abs(s - (1.0 if nu == nup else 0.0)) > 1e-8:
                         failures.append(("points", t, r, c, nu, nup, s))
             # Eq.(48) form: sum over weights at a fixed pair of points
-            for p1 in enum.points:
-                for p2 in enum.points:
-                    s = sum(_fixed_char(data, nu, p2)
-                            * _fixed_char(data, rd.dual_weight(nu), p1)
-                            * _delta_ambient(data, p1) for nu in dc)
+            npts = len(enum.points)
+            for p1 in range(npts):
+                for p2 in range(npts):
+                    s = sum(chi(nu)[p2] * chi(rd.dual_weight(nu))[p1] * delta[p1]
+                            for nu in dc)
                     s /= enum.order_T
                     if abs(s - (1.0 if p1 == p2 else 0.0)) > 1e-8:
                         failures.append(("weights", t, r, c, s))

@@ -6,6 +6,7 @@ import pytest
 from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
 from twistblocks.cli import (Report, emit_report, main, parse_report,
                              parse_request, run_request)
+from twistblocks.dims import _finalize
 
 
 def make_request(**overrides):
@@ -25,7 +26,7 @@ def test_parse_valid_request():
     assert req.algebra_type == "A" and req.algebra_rank == 3
     assert req.twist_tag == "diagram2"
     assert req.computation == "crosscheck"
-    assert req.tolerance == 1e-5 and req.threads == 1
+    assert req.tolerance == 1e-5
 
 
 def test_parse_unsupported_rank():
@@ -142,11 +143,9 @@ def test_structured_round_trip():
 
 
 def test_structured_determinism_across_runs_and_threads():
-    base = json.dumps(make_request())
     texts = []
     for threads in (1, 1, 3):
-        req = parse_request(base)
-        req.threads = threads
+        req = parse_request(json.dumps(make_request(options={"threads": threads})))
         texts.append(emit_report(run_request(req), "structured"))
     assert texts[0] == texts[1] == texts[2]
 
@@ -160,6 +159,10 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     # absurd tolerance forces a residual failure
     assert main([str(path), "--tolerance", "1e-30"]) == 1
     capsys.readouterr()
+    # the flag obeys the same rule as options.tolerance
+    for tol in ("-1", "nan"):
+        assert main([str(path), "--tolerance", tol]) == 2
+        capsys.readouterr()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -170,7 +173,44 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
+    # options.threads is still validated; --threads is accepted and ignored
+    bad.write_text(json.dumps(make_request(options={"threads": 0})))
+    assert main([str(bad)]) == 2
+    capsys.readouterr()
+    assert main([str(path), "--threads", "3"]) == 0
+    capsys.readouterr()
+
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make_request())))
     assert main(["-"]) == 0
     out = capsys.readouterr().out
     assert "agreement: True" in out
+
+
+def _three_point_file(tmp_path, monkeypatch, raw):
+    """A three_point request whose pipeline returns the given raw value."""
+    monkeypatch.setattr("twistblocks.cli.twisted_three_point",
+                        lambda req: _finalize(raw, "patched three-point"))
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(make_request(
+        computation="three_point",
+        weights={"twisted": [[1, 0], [1, 0]], "ambient": [[0, 1, 0]]})))
+    return str(path)
+
+
+def test_residual_above_default_tolerance_exits_1(tmp_path, capsys, monkeypatch):
+    path = _three_point_file(tmp_path, monkeypatch, 3 + 1.4e-5)
+    assert main([path, "--format", "structured"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == 3
+
+
+def test_request_tolerance_judges_the_residual(tmp_path, capsys, monkeypatch):
+    path = _three_point_file(tmp_path, monkeypatch, 3 + 1.4e-5)
+    assert main([path, "--tolerance", "1e-3"]) == 0
+    capsys.readouterr()
+
+
+def test_imaginary_part_exits_1(tmp_path, capsys, monkeypatch):
+    path = _three_point_file(tmp_path, monkeypatch, 3 + 1e-6j)
+    assert main([path]) == 1
+    assert "imaginary part" in capsys.readouterr().err
+

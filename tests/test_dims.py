@@ -6,11 +6,11 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          ThreePointRequest, UnstableInput,
                          WeightNotInAlphabet, ambient_alphabet,
                          build_root_datum, build_twist, classical_verlinde,
-                         enumerate_sigma_c, factorized_dimension,
-                         fusion_coefficient, general_dimension,
+                         factorized_dimension, fusion_coefficient,
+                         general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import _delta_ambient, _fixed_char
+from twistblocks.dims import _table
 from oracles import STANDARD_ROWS, sl2_verlinde
 
 A1 = build_root_datum("A", 1)
@@ -72,20 +72,20 @@ def test_untwisted_orthogonality_both_forms():
         rd = build_root_datum(t, r)
         data = build_twist(rd, "identity")
         for c in (1, 2, 3):
-            enum = enumerate_sigma_c(data, c)
+            table = _table(rd, "identity", c)
+            enum, chi, delta = table.enum, table.fixed_char, table.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:
                 for nup in dc:
                     dual = rd.dual_weight(nup)
-                    s = sum(_fixed_char(data, nu, pt) * _fixed_char(data, dual, pt)
-                            * _delta_ambient(data, pt) for pt in enum.points)
+                    s = sum(x * y * d for x, y, d in zip(chi(nu), chi(dual), delta))
                     s /= enum.order_T
                     assert abs(s - (1.0 if nu == nup else 0.0)) < 1e-8
-            for pt in enum.points:
-                for pt2 in enum.points:
-                    s = sum(_fixed_char(data, nu, pt2)
-                            * _fixed_char(data, rd.dual_weight(nu), pt)
-                            * _delta_ambient(data, pt) for nu in dc)
+            npts = len(enum.points)
+            for pt in range(npts):
+                for pt2 in range(npts):
+                    s = sum(chi(nu)[pt2] * chi(rd.dual_weight(nu))[pt] * delta[pt]
+                            for nu in dc)
                     s /= enum.order_T
                     assert abs(s - (1.0 if pt == pt2 else 0.0)) < 1e-8
 
