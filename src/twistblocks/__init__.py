@@ -14,7 +14,7 @@ from .dims import (CurveRequest, DimensionResult, ThreePointRequest,
 from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
                      NonDominant, NotInAlphabet, SchemaError, SingularPoint,
                      UnstableInput, UnsupportedCombination, UnsupportedType,
-                     VerlindeError, WeightNotInAlphabet)
+                     VerlindeError)
 from .kacwalton import KWLedger, euler_characteristic_report, kac_walton_dimension
 from .liecore import (CharacterValue, RootDatum, build_root_datum,
                       character_value, tensor_multiplicities,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
-                     UnstableInput, WeightNotInAlphabet)
+                     NotInAlphabet, UnstableInput)
 from .twist import ambient_alphabet, build_twist
 from .util import round_half_away, tree_sum
 
@@ -79,8 +79,8 @@ def _check_twisted(twist, c, lam, slot):
     lam = tuple(int(x) for x in lam)
     if len(lam) != twist.fixed.rank or not twist.fixed.is_dominant(lam) \
             or twist.weight_level(lam) > c:
-        raise WeightNotInAlphabet(f"{slot} weight {lam} is not in D_{{{c},sigma}} "
-                                  f"of {twist.fixed}")
+        raise NotInAlphabet(f"{slot} weight {lam} is not in D_{{{c},sigma}} "
+                            f"of {twist.fixed}")
     return lam
 
 
@@ -88,7 +88,7 @@ def _check_ambient(twist, c, nu, slot):
     nu = tuple(int(x) for x in nu)
     rd = twist.ambient
     if len(nu) != rd.rank or not rd.is_dominant(nu) or rd.level(nu) > c:
-        raise WeightNotInAlphabet(f"{slot} weight {nu} is not in D_{c} of {rd}")
+        raise NotInAlphabet(f"{slot} weight {nu} is not in D_{c} of {rd}")
     return nu
 
 
@@ -204,8 +204,8 @@ def twisted_three_point(req):
     twist, c = req.twist, req.level
     twist._require_standard("the twisted Verlinde formula")
     if twist.kind.tag == "identity":
-        raise WeightNotInAlphabet("three-point twisted dimension needs a "
-                                  "nontrivial twist")
+        raise NotInAlphabet("three-point twisted dimension needs a "
+                            "nontrivial twist")
     lam = _check_twisted(twist, c, req.lam, "lambda")
     mu = _check_twisted(twist, c, req.mu, "mu")
     nu = _check_ambient(twist, c, req.nu, "nu")
@@ -224,7 +224,7 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     """
     twist._require_standard("fusion coefficients")
     if twist.kind.tag == "identity":
-        raise WeightNotInAlphabet("twisted fusion needs a nontrivial twist")
+        raise NotInAlphabet("twisted fusion needs a nontrivial twist")
     lam = _check_twisted(twist, c, lam, "lambda")
     mu = _check_twisted(twist, c, mu, "mu")
     eta = _check_twisted(twist, c, eta, "eta")
@@ -239,13 +239,13 @@ def _check_curve(req):
     twist, c = req.twist, req.level
     twist._require_standard("the general dimension formula")
     if len(req.lambda_dagger) % 2 != 0:
-        raise WeightNotInAlphabet("lambda_dagger must list 2a paired weights")
+        raise NotInAlphabet("lambda_dagger must list 2a paired weights")
     a = req.pairs
     b = len(req.mu)
     if req.genus_bar < 0:
         raise ValueError("genus_bar must be >= 0")
     if a > 0 and twist.kind.tag == "identity":
-        raise WeightNotInAlphabet("ramified pairs require a nontrivial twist")
+        raise NotInAlphabet("ramified pairs require a nontrivial twist")
     # two paired ramified points alone are admissible (z -> z^m cover);
     # otherwise demand the usual stability
     if req.genus_bar == 0 and a == 0 and b < 3:

@@ -25,10 +25,6 @@ class NotInAlphabet(VerlindeError):
     """Weight does not belong to the required level alphabet."""
 
 
-# dims-level name for the same failure; kept distinct in messages only
-WeightNotInAlphabet = NotInAlphabet
-
-
 class UnstableInput(VerlindeError):
     """Curve data violates the stability constraint."""
 

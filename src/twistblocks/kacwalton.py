@@ -3,13 +3,14 @@ affine alcove folding.  Independent of the torus-point sums in dims; the
 two must agree, and that agreement is the package's main consistency
 check."""
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .alcove import fold_to_alcove
 from .dims import _check_ambient, _check_twisted
-from .errors import WeightNotInAlphabet
-from .twist import branch_to_fixed
+from .errors import NotInAlphabet
+from .twist import branch_to_fixed, build_twist
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,29 @@ def _validated(req):
     twist, c = req.twist, req.level
     twist._require_standard("the Kac-Walton recursion")
     if twist.kind.tag == "identity":
-        raise WeightNotInAlphabet("Kac-Walton pipeline needs a nontrivial twist")
+        raise NotInAlphabet("Kac-Walton pipeline needs a nontrivial twist")
     lam = _check_twisted(twist, c, req.lam, "lambda")
     mu = _check_twisted(twist, c, req.mu, "mu")
     nu = _check_ambient(twist, c, req.nu, "nu")
     return twist, c, lam, mu, nu
+
+
+@functools.cache
+def _folded(ambient, tag, c, mu, nu):
+    """Sorted (kappa, multiplicity, fold) over the constituents kappa of
+    V(mu) (x) Res V(nu), each folded into the level-c alcove.
+
+    Nothing here depends on lambda, so one decomposition serves every row
+    with this (mu, nu).  Keyed by (ambient, tag) since TwistData is not
+    hashable.
+    """
+    twist = build_twist(ambient, tag)
+    tensor = {}
+    for eta_b, b in branch_to_fixed(twist, nu).items():
+        for kappa, m in twist.fixed.tensor_multiplicities(mu, eta_b).items():
+            tensor[kappa] = tensor.get(kappa, 0) + b * m
+    return tuple((kappa, tensor[kappa], fold_to_alcove(twist, c, kappa))
+                 for kappa in sorted(tensor))
 
 
 def kac_walton_dimension(req):
@@ -43,27 +62,14 @@ def kac_walton_dimension(req):
 
     Steps: branch nu to the fixed subalgebra; tensor with V(mu); fold every
     dominant constituent under the star action of W^sigma x (c+h)M; sum
-    sign * multiplicity over the folds that land on lambda.
+    sign * multiplicity over the folds that land on lambda.  The first three
+    steps are cached per (mu, nu).
     """
     twist, c, lam, mu, nu = _validated(req)
-    fixed = twist.fixed
-
-    tensor = {}
-    for eta_b, b in branch_to_fixed(twist, nu).items():
-        for kappa, m in fixed.tensor_multiplicities(mu, eta_b).items():
-            tensor[kappa] = tensor.get(kappa, 0) + b * m
-
     contributions = []
     total = 0
-    for kappa in sorted(tensor):
-        m = tensor[kappa]
-        fold = fold_to_alcove(twist, c, kappa)
-        if fold.status == "wall":
-            contributions.append(KWContribution(
-                eta=kappa, multiplicity=m, sign=None, matched=False,
-                length_parity=fold.length_parity))
-            continue
-        matched = fold.weight == lam
+    for kappa, m, fold in _folded(twist.ambient, twist.kind.tag, c, mu, nu):
+        matched = fold.status != "wall" and fold.weight == lam
         if matched:
             total += fold.sign * m
         contributions.append(KWContribution(

@@ -93,6 +93,8 @@ class RootDatum:
         self.lie_type = lie_type
         self.rank = rank
         self.cartan = _cartan_matrix(lie_type, rank)
+        # column j as plain ints: the simple root alpha_j in weight coordinates
+        self._cols = tuple(tuple(int(x) for x in self.cartan[:, j]) for j in range(rank))
         self.cartan_inv = rational_inverse(self.cartan.tolist())
         self.rho = tuple([1] * rank)
         self.rho_check = tuple([1] * rank)
@@ -102,8 +104,7 @@ class RootDatum:
         self._form = [[self._sym[i] * self.cartan_inv[i][j] for j in range(rank)]
                       for i in range(rank)]
         den = fraction_lcm_den(x for row in self._form for x in row)
-        self._form_num = np.array(
-            [[int(x * den) for x in row] for row in self._form], dtype=np.int64)
+        self._form_num = [[int(x * den) for x in row] for row in self._form]
         self._form_den = den
 
         self._build_roots()
@@ -205,7 +206,7 @@ class RootDatum:
     @property
     def simple_roots(self):
         """Simple roots in fundamental-weight coordinates (alpha_j = column j)."""
-        return tuple(tuple(int(x) for x in self.cartan[:, j]) for j in range(self.rank))
+        return self._cols
 
     @property
     def simple_coroots(self):
@@ -227,7 +228,7 @@ class RootDatum:
                 for j in range(self.rank):
                     if y[j]:
                         acc += int(x[i]) * self._form_num[i][j] * int(y[j])
-        return Fraction(int(acc), self._form_den)
+        return Fraction(acc, self._form_den)
 
     def exponent_vector(self, xi):
         """y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
@@ -253,18 +254,16 @@ class RootDatum:
         reflection reports on_wall=True (its chamber representative then
         has a zero coordinate).
         """
-        v = np.array(vec, dtype=np.int64)
-        a = self.cartan
+        v = tuple(int(x) for x in vec)
         sign = 1
         while True:
-            neg = np.where(v < 0)[0]
-            if len(neg) == 0:
+            i = next((i for i, x in enumerate(v) if x < 0), None)
+            if i is None:
                 break
-            i = int(neg[0])
-            v = v - v[i] * a[:, i]
+            x = v[i]
+            v = tuple(a - x * b for a, b in zip(v, self._cols[i]))
             sign = -sign
-        wall = bool((v == 0).any())
-        return tuple(int(x) for x in v), sign, wall
+        return v, sign, 0 in v
 
     def dominant_rep(self, vec):
         return self.dominant_rep_signed(vec)[0]
@@ -356,22 +355,20 @@ class RootDatum:
 
     def _weight_closure(self, lam):
         """Weight set of V(lambda) via root strings, grouped by depth."""
-        n = self.rank
-        a = self.cartan
         levels = [[lam]]
         found = {lam}
         while True:
             new = set()
             for nu in levels[-1]:
-                for i in range(n):
-                    cand = tuple(int(nu[k] - a[k][i]) for k in range(n))
+                for i, col in enumerate(self._cols):
+                    cand = tuple(x - y for x, y in zip(nu, col))
                     if cand in found or cand in new:
                         continue
                     p = 0
-                    up = list(nu)
+                    up = nu
                     while True:
-                        up = [up[k] + a[k][i] for k in range(n)]
-                        if tuple(up) not in found:
+                        up = tuple(x + y for x, y in zip(up, col))
+                        if up not in found:
                             break
                         p += 1
                     if p + nu[i] >= 1:
@@ -384,37 +381,43 @@ class RootDatum:
 
     def _weight_system_uncached(self, lam):
         levels, found = self._weight_closure(lam)
-        fd = self._form_den
-        fnum = self._form_num
-        lamr = np.array(lam, dtype=np.int64) + 1
+
+        def pairing_vector(v):
+            # F v, so that <x, v> scaled by form_den is the dot product x . F v
+            return [sum(f * x for f, x in zip(row, v)) for row in self._form_num]
+
+        def dot(x, y):
+            return sum(a * b for a, b in zip(x, y))
 
         def norm2(v):
-            arr = np.array(v, dtype=np.int64)
-            return int(arr @ fnum @ arr)
+            return dot(v, pairing_vector(v))
 
-        top = norm2(lamr)
+        top = norm2([x + 1 for x in lam])
         mult = {lam: 1}
-        roots = [tuple(int(x) for x in r) for r in self.positive_roots]
-        root_form = {}  # scaled <x, r> helpers
-        for depth, level in enumerate(levels):
-            if depth == 0:
-                continue
+        roots = []
+        for r in self.positive_roots.tolist():
+            fr = pairing_vector(r)
+            roots.append((tuple(r), fr, dot(r, fr)))
+        for level in levels[1:]:
             for mu in level:
-                mur = tuple(m + 1 for m in mu)
-                denom = top - norm2(mur)
+                if not self.is_dominant(mu):
+                    # multiplicities are W-invariant, and the dominant
+                    # representative lies higher, in an earlier level
+                    mult[mu] = mult[self.dominant_rep(mu)]
+                    continue
+                denom = top - norm2([m + 1 for m in mu])
                 assert denom > 0
                 acc = 0
-                for r in roots:
-                    k = 1
+                for r, fr, rr in roots:
+                    # <mu + k r, r> scaled by form_den, for k = 1, 2, ...
+                    pair = dot(mu, fr)
+                    up = mu
                     while True:
-                        up = tuple(mu[j] + k * r[j] for j in range(self.rank))
+                        up = tuple(x + y for x, y in zip(up, r))
                         if up not in found:
                             break
-                        # <mu + k r, r> scaled by form_den
-                        arr = np.array(up, dtype=np.int64)
-                        rr = np.array(r, dtype=np.int64)
-                        acc += mult[up] * int(arr @ fnum @ rr)
-                        k += 1
+                        pair += rr
+                        acc += mult[up] * pair
                 num = 2 * acc
                 assert num % denom == 0, "Freudenthal recursion must stay integral"
                 mult[mu] = num // denom

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet, UnsupportedCombination
 from .liecore import RootDatum, build_root_datum
-from .util import rational_inverse, smith_normal_form, solve_rational
+from .util import fraction_lcm_den, rational_inverse, smith_normal_form, solve_rational
 
 
 @dataclass(frozen=True)
@@ -333,6 +333,9 @@ def _branch_uncached(twist, nu):
         remaining[rw] = remaining.get(rw, 0) + m
     hf = [sum(fixed.cartan_inv[i][j] for i in range(fixed.rank))
           for j in range(fixed.rank)]
+    # heights scaled by a common denominator: same order, integer arithmetic
+    den = fraction_lcm_den(hf)
+    hf = [int(h * den) for h in hf]
 
     def height(w):
         return sum(h * x for h, x in zip(hf, w))

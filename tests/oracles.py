@@ -2,8 +2,9 @@
 
 Nothing here may call back into the computation paths it validates: the
 sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
-normal form, the twisted level marks are a frozen table, and Weyl orbits
-come from a set-based search that uses only the Cartan matrix.
+normal form, the twisted level marks are a frozen table, Weyl orbits
+come from a set-based search that uses only the Cartan matrix, and type-A
+weight multiplicities are Kostka numbers counted on semistandard tableaux.
 """
 
 import numpy as np
@@ -120,6 +121,40 @@ def signed_orbit_bfs(cartan, vec):
                     nxt.append(w)
         frontier = nxt
     return signs
+
+
+def kostka_numbers(shape, letters):
+    """{content: number of semistandard tableaux of this shape and content}.
+
+    Entries are 1..letters.  A tableau is built letter by letter: the cells
+    holding the letter k form a horizontal strip added to the shape filled
+    by 1..k-1, i.e. the shape after k letters interlaces the one after k-1
+    and has at most k rows.
+    """
+    shape = tuple(shape) + (0,) * (letters - len(shape))
+    counts = {}
+
+    def peel(outer, k, content):
+        # outer: shape filled by 1..k; choose the shape filled by 1..k-1
+        if k == 0:
+            counts[content] = counts.get(content, 0) + 1
+            return
+
+        def rows(i, inner):
+            if i == k - 1:
+                strip = sum(outer[:k]) - sum(inner)
+                peel(inner + (0,) * (letters - len(inner)), k - 1,
+                     (strip,) + content)
+                return
+            for x in range(outer[i + 1], outer[i] + 1):
+                rows(i + 1, inner + (x,))
+
+        if any(outer[k:]):
+            return
+        rows(0, ())
+
+    peel(shape, letters, ())
+    return counts
 
 
 def dual_coxeter_classical(lie_type, rank):

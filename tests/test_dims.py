@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from twistblocks import (CurveRequest, InconsistentRamification,
-                         ThreePointRequest, UnstableInput,
-                         WeightNotInAlphabet, ambient_alphabet,
+                         NotInAlphabet, ThreePointRequest, UnstableInput,
+                         ambient_alphabet,
                          build_root_datum, build_twist, classical_verlinde,
                          factorized_dimension, fusion_coefficient,
                          general_dimension,
@@ -50,7 +50,7 @@ def test_classical_vacuum_and_errors():
         assert classical_verlinde(rd, 1, 0, [z, z, z]).value == 1
     with pytest.raises(UnstableInput):
         classical_verlinde(A1, 1, 0, [(1,), (1,)])
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         classical_verlinde(A1, 1, 0, [(2,), (0,), (0,)])
 
 
@@ -146,14 +146,14 @@ def test_three_point_symmetric_in_lam_mu():
 
 def test_three_point_membership_errors():
     data = tw("A", 3, "diagram2")
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         twisted_three_point(ThreePointRequest(
             twist=data, level=1, lam=(0, 1), mu=(0, 0), nu=(0, 0, 0)))
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         twisted_three_point(ThreePointRequest(
             twist=data, level=1, lam=(0, 0), mu=(0, 0), nu=(1, 1, 0)))
     ident = tw("A", 3, "identity")
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         twisted_three_point(ThreePointRequest(
             twist=ident, level=1, lam=(0, 0, 0), mu=(0, 0, 0), nu=(0, 0, 0)))
 
@@ -286,7 +286,7 @@ def test_curve_request_stability():
     with pytest.raises(UnstableInput):
         general_dimension(CurveRequest(twist=data, level=1, genus_bar=0,
                                        lambda_dagger=(), mu=((0, 0, 0),)))
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         general_dimension(CurveRequest(
             twist=tw("A", 3, "identity"), level=1, genus_bar=0,
             lambda_dagger=((0, 0), (0, 0)), mu=()))

@@ -1,10 +1,12 @@
 import pytest
 
-from twistblocks import (ThreePointRequest, UnsupportedCombination,
-                         WeightNotInAlphabet, ambient_alphabet,
+from twistblocks import (NotInAlphabet, ThreePointRequest,
+                         UnsupportedCombination, ambient_alphabet,
                          branch_to_fixed, build_root_datum, build_twist,
-                         euler_characteristic_report, kac_walton_dimension,
-                         twisted_three_point, weight_alphabet)
+                         euler_characteristic_report, fold_to_alcove,
+                         kac_walton_dimension, twisted_three_point,
+                         weight_alphabet)
+from twistblocks.kacwalton import KWContribution, KWLedger, _folded
 from oracles import STANDARD_ROWS
 
 
@@ -93,6 +95,42 @@ def test_classical_limit_no_folding():
                 assert all(c.sign == 1 for c in ledger.contributions)
 
 
+def direct_ledger(data, c, lam, mu, nu):
+    """The row's ledger decomposed and folded from scratch, with no cache."""
+    tensor = {}
+    for eta_b, b in branch_to_fixed(data, nu).items():
+        for kappa, m in data.fixed.tensor_multiplicities(mu, eta_b).items():
+            tensor[kappa] = tensor.get(kappa, 0) + b * m
+    contributions = []
+    total = 0
+    for kappa in sorted(tensor):
+        fold = fold_to_alcove(data, c, kappa)
+        matched = fold.status == "interior" and fold.weight == lam
+        if matched:
+            total += fold.sign * tensor[kappa]
+        contributions.append(KWContribution(
+            eta=kappa, multiplicity=tensor[kappa], sign=fold.sign,
+            matched=matched, length_parity=fold.length_parity))
+    return total, KWLedger(contributions=tuple(contributions), total=total)
+
+
+def test_cached_decomposition_matches_direct_ledger():
+    # the first lambda of each (mu, nu) decomposes and folds; every later
+    # lambda reuses that decomposition
+    for (t, r, kind, c) in [("A", 3, "diagram2", 2), ("D", 4, "diagram3", 2)]:
+        data = tw(t, r, kind)
+        alphabet = weight_alphabet(data, c).members
+        assert len(alphabet) > 1
+        for mu in alphabet:
+            for nu in ambient_alphabet(data, c):
+                _folded.cache_clear()
+                for hits, lam in enumerate(alphabet):
+                    got = kac_walton_dimension(req(data, c, lam, mu, nu))
+                    info = _folded.cache_info()
+                    assert (info.misses, info.hits) == (1, hits)
+                    assert got == direct_ledger(data, c, lam, mu, nu)
+
+
 def test_wall_contributions_recorded():
     # (A3/diagram2, c=1): V(w1) (x) V(w1|) has two wall constituents and
     # an interior vacuum; matching lambda = w1 leaves a zero total
@@ -108,11 +146,11 @@ def test_scope_errors():
     with pytest.raises(UnsupportedCombination):
         kac_walton_dimension(req(tw("A", 4, "diagram2"), 1, (0, 0), (0, 0),
                                  (0, 0, 0, 0)))
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         kac_walton_dimension(req(tw("A", 3, "identity"), 1, (0, 0, 0),
                                  (0, 0, 0), (0, 0, 0)))
     data = tw("A", 3, "diagram2")
-    with pytest.raises(WeightNotInAlphabet):
+    with pytest.raises(NotInAlphabet):
         kac_walton_dimension(req(data, 1, (0, 1), (0, 0), (0, 0, 0)))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 
 from twistblocks import (CharacterValue, NonDominant, SingularPoint,
                          UnsupportedType, build_root_datum)
-from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, signed_orbit_bfs,
-                     weyl_order_classical)
+from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, kostka_numbers,
+                     signed_orbit_bfs, weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -138,6 +139,20 @@ def test_weight_multiplicities_total_and_invariance():
             # dominant representative
             for w, m in ws.items():
                 assert ws[rd.dominant_rep(w)] == m
+
+
+def test_weight_multiplicities_match_kostka_numbers():
+    # A_n weight (a_1..a_n) is the partition lambda_i = a_i + ... + a_n in
+    # n+1 rows; a tableau content m has weight (m_i - m_{i+1})_i
+    for n in range(1, 5):
+        rd = build_root_datum("A", n)
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) > 3 or (n > 2 and sum(lam) > 2):
+                continue
+            shape = tuple(sum(lam[i:]) for i in range(n))
+            want = {tuple(m[i] - m[i + 1] for i in range(n)): k
+                    for m, k in kostka_numbers(shape, n + 1).items()}
+            assert rd.weight_system(lam) == want, (n, lam)
 
 
 def test_tensor_examples():
