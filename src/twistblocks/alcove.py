@@ -11,8 +11,8 @@ import numpy as np
 from .twist import TwistData, weight_alphabet, _bounded_lex
 from .util import dual_lattice_basis, lattice_index
 
-# defensive bound on folding; the affine action is proper, so this only
-# guards against corrupted inputs
+# defensive bound on the theta reflections of a fold; the affine action is
+# proper, so this only guards against corrupted inputs
 _FOLD_SLACK = 64
 
 
@@ -137,39 +137,36 @@ def enumerate_sigma_c(twist, c):
 def fold_to_alcove(twist, c, eta):
     """Star-action fold of an integral weight into the level-c alcove.
 
-    Repeated simple reflections make eta+rho dominant; the far wall
-    (pairing with theta_check_sigma equal to c+h) reflects by theta_sigma.
-    Translations have even length, so the sign is just (-1)^#reflections.
+    Simple reflections make eta+rho dominant; the far wall (pairing with
+    theta_check_sigma equal to c+h) reflects by theta_sigma, and the finite
+    fold repeats.  Translations have even length, so the sign is just
+    (-1)^#reflections.
     """
     twist._require_standard("alcove folding")
     fixed = twist.fixed
     nshift = twist.shifted_level(c)
-    a = fixed.cartan
-    marks = np.array(twist.level_marks, dtype=np.int64)
-    theta = np.array(twist.theta_sigma, dtype=np.int64)
+    marks = twist.level_marks
+    theta = twist.theta_sigma
 
-    x = np.array(eta, dtype=np.int64) + 1
+    def level(v):
+        return sum(m * a for m, a in zip(marks, v))
+
+    x = tuple(int(v) + 1 for v in eta)
     parity = 0
-    budget = _FOLD_SLACK + 10 * int(abs(int(marks @ np.abs(x))))
+    budget = _FOLD_SLACK + 10 * level(abs(v) for v in x)
     while True:
+        x, sign, on_wall = fixed.dominant_rep_signed(x)
+        parity ^= sign < 0
+        lvl = level(x)
+        if lvl <= nshift:
+            break
         budget -= 1
         if budget < 0:
             raise AssertionError("folding failed to terminate; corrupted input")
-        neg = np.where(x < 0)[0]
-        if len(neg):
-            i = int(neg[0])
-            x = x - x[i] * a[:, i]
-            parity ^= 1
-            continue
-        lvl = int(marks @ x)
-        if lvl > nshift:
-            x = x - (lvl - nshift) * theta
-            parity ^= 1
-            continue
-        break
+        x = tuple(v - (lvl - nshift) * t for v, t in zip(x, theta))
+        parity ^= 1
 
-    if (x == 0).any() or int(marks @ x) == nshift:
+    if on_wall or lvl == nshift:
         return FoldResult(status="wall", length_parity=parity)
-    weight = tuple(int(v) - 1 for v in x)
-    return FoldResult(status="interior", weight=weight,
+    return FoldResult(status="interior", weight=tuple(v - 1 for v in x),
                       sign=1 - 2 * parity, length_parity=parity)

@@ -95,7 +95,7 @@ def _check_ambient(twist, c, nu, slot):
 # -- the torus points of one (ambient, twist, level), with values ----------
 
 class _PointTable:
-    """Sigma_c for one twist and level, each point's exact exponent vectors,
+    """Sigma_c for one twist and level, each point's exponent vectors,
     and every value the point sums need as one list over the points."""
 
     def __init__(self, twist, c):
@@ -107,7 +107,7 @@ class _PointTable:
     @functools.cache
     def fixed_char(self, lam):
         fixed = self.twist.fixed
-        return [fixed.character_at_exponents(lam, y).value for y in self.fixed_y]
+        return [fixed.character_at_exponents(lam, y) for y in self.fixed_y]
 
     @functools.cache
     def ambient_char(self, nu):
@@ -116,7 +116,7 @@ class _PointTable:
         values = []
         for y in self.ambient_y:
             method = "weights" if small or not rd.point_is_regular(y) else "quotient"
-            values.append(rd.character_at_exponents(nu, y, method=method).value)
+            values.append(rd.character_at_exponents(nu, y, method=method))
         return values
 
     @functools.cached_property
@@ -133,10 +133,10 @@ class _PointTable:
 def _delta_from_exponents(rd, y, context):
     """prod over all roots of (e^alpha(t) - 1) = prod 4 sin^2(pi alpha(xi))."""
     total = 1.0
-    for p in rd.root_pairings_exact(y):
-        if p.denominator == 1:
+    for p in rd.root_pairings(y):
+        if p % y.den == 0:
             raise AssertionError(f"{context}: point is singular for {rd}")
-        total *= 4.0 * math.sin(math.pi * float(p)) ** 2
+        total *= 4.0 * math.sin(math.pi * (p / y.den)) ** 2
     return total
 
 

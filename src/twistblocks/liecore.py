@@ -8,16 +8,16 @@ Conventions used throughout the package
   root datum; coweights are tuples in the fundamental-coweight basis.
 * The invariant form is normalized so long roots have squared length 2.
 * A torus point is a tuple of Fractions ``xi`` in fundamental-coweight
-  coordinates and stands for ``t = exp(2*pi*i*xi)``.  All exponents
-  ``lambda(xi)`` are computed exactly as rationals mod 1; only the final
-  complex exponential is floating point.
+  coordinates and stands for ``t = exp(2*pi*i*xi)``.  Its exponent vector
+  ``y[i] = omega_i(xi)`` is held as integers over one least denominator
+  (``Exponents``), so every ``lambda(xi)`` is an exact integer residue mod
+  that denominator; only the final complex exponential is floating point.
 """
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,15 +65,14 @@ def _cartan_matrix(lie_type, rank):
     return a
 
 
-@dataclass
-class CharacterValue:
-    """Numeric carrier for a character value chi_lambda(t).
+class Exponents(NamedTuple):
+    """Exponent vector y = num / den of a torus point, in lowest terms.
 
-    ``phase_exact`` optionally records the exact (exponent mod 1,
-    multiplicity) pairs when the value came from a small weight sum.
+    ``den`` is the lcm of the reduced denominators of the y[i], so
+    gcd(den, *num) == 1 and lambda(xi) = (lambda . num) / den.
     """
-    value: complex
-    phase_exact: Optional[tuple] = None
+    num: tuple
+    den: int
 
 
 class RootDatum:
@@ -231,10 +230,12 @@ class RootDatum:
         return Fraction(acc, self._form_den)
 
     def exponent_vector(self, xi):
-        """y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
+        """Exponents y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
         n = self.rank
-        return tuple(sum(self.cartan_inv[j][i] * Fraction(xi[j]) for j in range(n))
-                     for i in range(n))
+        y = [sum(self.cartan_inv[j][i] * Fraction(xi[j]) for j in range(n))
+             for i in range(n)]
+        den = fraction_lcm_den(y)
+        return Exponents(tuple(int(v * den) for v in y), den)
 
     def level(self, weight):
         """lambda(theta^vee) = sum of dual marks times coordinates."""
@@ -454,38 +455,29 @@ class RootDatum:
 
     # -- characters -------------------------------------------------------
 
-    def root_pairings_exact(self, y):
-        """r . y for every positive root r, as Fractions."""
-        out = []
-        for r in self.positive_roots:
-            out.append(sum(int(r[i]) * y[i] for i in range(self.rank) if r[i]))
-        return out
+    def root_pairings(self, y):
+        """r . y.num for every positive root r: the numerators of r(xi) over y.den."""
+        return (self.positive_roots @ y.num).tolist()
 
     def point_is_regular(self, y):
         """exp(2 pi i y-pairing) differs from 1 on every root."""
-        return all(p.denominator != 1 for p in self.root_pairings_exact(y))
+        return all(p % y.den for p in self.root_pairings(y))
 
     def character_at_exponents(self, lam, y, method="quotient"):
-        """chi_lambda at the point with exact exponent vector y.
+        """chi_lambda at the point with exponents y, as a complex number.
 
-        y[i] = omega_i(xi); exponents of weights are integer combinations
-        of y reduced mod 1, evaluated through a single root-of-unity table.
+        Weight exponents are integer combinations of y.num reduced mod
+        y.den, evaluated through a single root-of-unity table.
         """
         self._require_dominant(lam)
-        d = fraction_lcm_den(y)
-        yd = np.array([int(Fraction(v) * d) for v in y], dtype=np.int64)
+        d = y.den
+        yd = np.array(y.num, dtype=np.int64)
         table = _roots_of_unity(d)
         if method == "weights":
             ws = self.weight_system(lam)
             vecs = np.array(list(ws.keys()), dtype=np.int64)
             mults = np.array(list(ws.values()), dtype=np.int64)
-            phases = (vecs @ yd) % d
-            val = _phase_sum(phases, mults, d, table)
-            exact = None
-            if len(ws) <= 64:
-                exact = tuple(sorted(
-                    (Fraction(int(p), d), int(m)) for p, m in zip(phases, mults)))
-            return CharacterValue(val, exact)
+            return _phase_sum((vecs @ yd) % d, mults, d, table)
         if not self.point_is_regular(y):
             raise SingularPoint("point lies on a root hyperplane")
         lr = tuple(x + 1 for x in lam)
@@ -495,7 +487,7 @@ class RootDatum:
         den = _phase_sum((rho_orb @ yd) % d, rho_signs, d, table)
         if abs(den) < _SINGULAR_TOL * len(rho_orb):
             raise SingularPoint("Weyl denominator below tolerance")
-        return CharacterValue(num / den)
+        return num / den
 
     def character_value(self, lam, xi):
         """chi_lambda(exp(2 pi i xi)) by the Weyl quotient formula."""

@@ -1,13 +1,14 @@
 """Automorphism layer: diagram/standard automorphisms, fixed subalgebras,
 weight restriction and branching, twisted level alphabets."""
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet, UnsupportedCombination
-from .liecore import RootDatum, build_root_datum
+from .liecore import Exponents, RootDatum, build_root_datum
 from .util import fraction_lcm_den, rational_inverse, smith_normal_form, solve_rational
 
 
@@ -117,20 +118,15 @@ class TwistData:
     def weight_level(self, lam):
         return sum(int(m) * int(x) for m, x in zip(self.level_marks, lam))
 
-    def restrict_weight(self, weight):
-        v = self.restriction_matrix @ np.array(weight, dtype=np.int64)
-        return tuple(int(x) for x in v)
-
     def ambient_exponents(self, xi):
-        """Exponent vector of the same point for ambient weights.
+        """Exponents of the same point for ambient weights, in lowest terms.
 
         omega_i^g(xi) = (R omega_i^g)(xi), so y_g = R^T y_fixed.
         """
         yf = self.fixed.exponent_vector(xi)
-        n = self.ambient.rank
-        r = self.restriction_matrix
-        return tuple(sum(int(r[k][i]) * yf[k] for k in range(self.fixed.rank))
-                     for i in range(n))
+        num = (yf.num @ self.restriction_matrix).tolist()
+        g = math.gcd(yf.den, *num)
+        return Exponents(tuple(x // g for x in num), yf.den // g)
 
     def _require_standard(self, what):
         if not self.is_standard:
@@ -327,9 +323,10 @@ def branch_to_fixed(twist, nu):
 
 def _branch_uncached(twist, nu):
     fixed = twist.fixed
+    rows = twist.restriction_matrix.tolist()
     remaining = {}
     for w, m in twist.ambient.weight_system(nu).items():
-        rw = twist.restrict_weight(w)
+        rw = tuple(sum(a * x for a, x in zip(row, w)) for row in rows)
         remaining[rw] = remaining.get(rw, 0) + m
     hf = [sum(fixed.cartan_inv[i][j] for i in range(fixed.rank))
           for j in range(fixed.rank)]
@@ -340,19 +337,21 @@ def _branch_uncached(twist, nu):
     def height(w):
         return sum(h * x for h, x in zip(hf, w))
 
+    # every other weight of V(eta) lies strictly below eta, so one pass from
+    # the top sees each weight after all peels that reach it
     out = {}
-    while remaining:
-        eta = max(remaining, key=lambda w: (height(w), w))
+    for eta in sorted(remaining, key=lambda w: (height(w), w), reverse=True):
         b = remaining[eta]
+        if not b:
+            continue
         if b < 0 or not fixed.is_dominant(eta):
             raise AssertionError(f"branching peel failed at {eta} (mult {b})")
         for w, m in fixed.weight_system(eta).items():
-            nv = remaining.get(w, 0) - b * m
-            if nv:
-                remaining[w] = nv
-            else:
-                remaining.pop(w, None)
-        out[eta] = out.get(eta, 0) + b
+            remaining[w] = remaining.get(w, 0) - b * m
+        out[eta] = b
+    left = {w: m for w, m in remaining.items() if m}
+    if left:
+        raise AssertionError(f"branching left weights unpeeled: {left}")
     return out
 
 

@@ -235,9 +235,9 @@ def test_sign_coherence_with_characters():
             for eta in etas:
                 res = fold_to_alcove(data, c, eta)
                 for pt in pts:
-                    val = fixed.character_by_weights(eta, pt.xi).value
+                    val = fixed.character_by_weights(eta, pt.xi)
                     if res.status == "wall":
                         assert abs(val) < 1e-8
                     else:
-                        ref = fixed.character_by_weights(res.weight, pt.xi).value
+                        ref = fixed.character_by_weights(res.weight, pt.xi)
                         assert abs(val - res.sign * ref) < 1e-8

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from twistblocks import (IllegalPair, NonDominant, NotInAlphabet,
                          UnsupportedCombination, a2n_weight_bijection,
                          branch_to_fixed, build_root_datum, build_twist,
-                         twist_kind, weight_alphabet)
+                         enumerate_sigma_c, twist_kind, weight_alphabet)
+from twistblocks.twist import _branch_uncached
 from oracles import FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS
 
 
@@ -123,10 +125,65 @@ def test_branch_character_consistency():
             if amb.weyl_dimension(nu) > 1000:
                 continue
             y_amb = data.ambient_exponents(xi)
-            lhs = amb.character_at_exponents(nu, y_amb, method="weights").value
-            rhs = sum(m * fixed.character_by_weights(eta, xi).value
+            lhs = amb.character_at_exponents(nu, y_amb, method="weights")
+            rhs = sum(m * fixed.character_by_weights(eta, xi)
                       for eta, m in branch_to_fixed(data, nu).items())
             assert abs(lhs - rhs) < 1e-8
+
+
+def _check_exponents(rd, got, expect):
+    """got (integers over one denominator) against exact Fractions."""
+    assert got.den == math.lcm(*(v.denominator for v in expect))
+    assert math.gcd(got.den, *got.num) == 1
+    assert [Fraction(x, got.den) for x in got.num] == expect
+    pairings = [sum(int(a) * v for a, v in zip(r, expect)) for r in rd.positive_roots]
+    assert [Fraction(p, got.den) for p in rd.root_pairings(got)] == pairings
+    assert rd.point_is_regular(got) == all(p.denominator != 1 for p in pairings)
+
+
+def test_exponents_are_integers_over_least_denominator():
+    rng = random.Random(41)
+    # the special (A_2n, diagram2) rows have no Sigma_c, but their restriction
+    # matrix has a 2, the only case where ambient exponents need reducing
+    for (t, r, kind) in STANDARD_ROWS + (("A", 2, "diagram2"), ("A", 4, "diagram2")):
+        data = tw(t, r, kind)
+        fixed, amb = data.fixed, data.ambient
+        rmat = data.restriction_matrix.tolist()
+        points = [pt.xi for c in (1, 2, 3) if data.is_standard
+                  for pt in enumerate_sigma_c(data, c).points]
+        for _ in range(40):
+            q = rng.randrange(1, 3 * data.dual_coxeter)
+            points.append(tuple(Fraction(rng.randrange(-q, 2 * q), q)
+                                for _ in range(fixed.rank)))
+        for xi in points:
+            yf = [sum(fixed.cartan_inv[j][i] * Fraction(xi[j]) for j in range(fixed.rank))
+                  for i in range(fixed.rank)]
+            ya = [sum(rmat[k][i] * yf[k] for k in range(fixed.rank)) for i in range(r)]
+            _check_exponents(fixed, fixed.exponent_vector(xi), yf)
+            _check_exponents(amb, data.ambient_exponents(xi), ya)
+
+
+def test_branch_aborts_on_corrupted_character(monkeypatch):
+    # every single-weight corruption of V(nu) whose restriction is not W-fixed
+    # makes the restricted character non-invariant, so no peel can finish
+    for (t, r, kind), nu in ((("A", 3, "diagram2"), (0, 1, 0)),
+                             (("D", 4, "diagram3"), (1, 0, 0, 0))):
+        data = tw(t, r, kind)
+        amb = data.ambient
+        true_ws = amb.weight_system(nu)
+        rmat = data.restriction_matrix
+        moved = [w for w in true_ws if (rmat @ w).any()]
+        assert moved
+        for w in moved:
+            lowered = dict(true_ws)
+            lowered[w] -= 1
+            dropped = {k: m for k, m in true_ws.items() if k != w}
+            for corrupted in (lowered, dropped):
+                monkeypatch.setattr(amb, "weight_system", lambda lam: corrupted)
+                with pytest.raises(AssertionError, match="branching"):
+                    _branch_uncached(data, nu)
+        monkeypatch.undo()
+        assert _branch_uncached(data, nu) == branch_to_fixed(data, nu)
 
 
 def test_alphabet_examples():
