@@ -102,7 +102,10 @@ class _PointTable:
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
         self.fixed_y = [twist.fixed.exponent_vector(pt.xi) for pt in self.enum.points]
-        self.ambient_y = [twist.ambient_exponents(pt.xi) for pt in self.enum.points]
+
+    @functools.cached_property
+    def ambient_y(self):
+        return [self.twist.ambient_exponents(pt.xi) for pt in self.enum.points]
 
     @functools.cache
     def fixed_char(self, lam):
@@ -227,9 +230,8 @@ def fusion_coefficient(twist, c, lam, mu, eta):
         raise NotInAlphabet("twisted fusion needs a nontrivial twist")
     lam = _check_twisted(twist, c, lam, "lambda")
     mu = _check_twisted(twist, c, mu, "mu")
+    # eta* = eta: weight_alphabet checks that once for all of D_{c,sigma}
     eta = _check_twisted(twist, c, eta, "eta")
-    # eta* = eta: the fixed algebras here have -1 in their Weyl groups
-    assert twist.fixed.dual_weight(eta) == eta
     table = _table(twist.ambient, twist.kind.tag, c)
     raw = _point_sum(table, fixed=(lam, mu, eta), a=1) / table.enum.order_Tsigma
     return _finalize(raw, f"c^{eta}_{lam},{mu}", allow_negative=True)

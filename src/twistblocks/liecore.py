@@ -112,6 +112,7 @@ class RootDatum:
         self._lock = threading.Lock()
         self._orbit_cache = {}
         self._weights_cache = {}
+        self._tensor_cache = {}
         self._weyl_order = None
 
     # -- static data -------------------------------------------------
@@ -341,48 +342,29 @@ class RootDatum:
     def weight_system(self, weight):
         """All weights of V(lambda) with multiplicities (Freudenthal).
 
-        Returns a dict {weight tuple: multiplicity}.  Cached.
+        Returns a dict {weight tuple: multiplicity}.  Cached, together with
+        the same weights as int64 arrays (see _weight_arrays).
         """
         key = tuple(int(x) for x in weight)
         self._require_dominant(key)
         with self._lock:
             hit = self._weights_cache.get(key)
-        if hit is not None:
-            return hit
-        ws = self._weight_system_uncached(key)
-        with self._lock:
-            self._weights_cache[key] = ws
-        return ws
+        if hit is None:
+            vecs, mults = self._weight_system_uncached(key)
+            ws = dict(zip(map(tuple, vecs.tolist()), mults.tolist()))
+            with self._lock:
+                hit = self._weights_cache.setdefault(key, (ws, vecs, mults))
+        return hit[0]
 
-    def _weight_closure(self, lam):
-        """Weight set of V(lambda) via root strings, grouped by depth."""
-        levels = [[lam]]
-        found = {lam}
-        while True:
-            new = set()
-            for nu in levels[-1]:
-                for i, col in enumerate(self._cols):
-                    cand = tuple(x - y for x, y in zip(nu, col))
-                    if cand in found or cand in new:
-                        continue
-                    p = 0
-                    up = nu
-                    while True:
-                        up = tuple(x + y for x, y in zip(up, col))
-                        if up not in found:
-                            break
-                        p += 1
-                    if p + nu[i] >= 1:
-                        new.add(cand)
-            if not new:
-                break
-            found |= new
-            levels.append(sorted(new))
-        return levels, found
+    def _weight_arrays(self, weight):
+        """The weights of V(lambda) as int64 rows, with their multiplicities
+        as an int64 vector, in the order of weight_system(lambda)."""
+        key = tuple(int(x) for x in weight)
+        self.weight_system(key)    # builds the arrays on a miss
+        with self._lock:
+            return self._weights_cache[key][1:]
 
     def _weight_system_uncached(self, lam):
-        levels, found = self._weight_closure(lam)
-
         def pairing_vector(v):
             # F v, so that <x, v> scaled by form_den is the dot product x . F v
             return [sum(f * x for f, x in zip(row, v)) for row in self._form_num]
@@ -393,36 +375,72 @@ class RootDatum:
         def norm2(v):
             return dot(v, pairing_vector(v))
 
+        roots = []
+        for r, ra in zip(self.positive_roots.tolist(), self.positive_roots_alpha.tolist()):
+            fr = pairing_vector(r)
+            roots.append((tuple(r), fr, dot(r, fr), sum(ra)))
+
+        # The dominant weights of V(lambda) are the dominant mu <= lambda, and
+        # each is reached from lambda through dominant weights, one positive
+        # root at a time (Stembridge, "The partial order of dominant
+        # weights", 1998).  depth = height of lambda - mu.
+        depth = {lam: 0}
+        todo = [lam]
+        for mu in todo:
+            for r, _, _, h in roots:
+                nu = tuple(x - y for x, y in zip(mu, r))
+                if nu not in depth and all(x >= 0 for x in nu):
+                    depth[nu] = depth[mu] + h
+                    todo.append(nu)
+        order = sorted(depth, key=lambda mu: (depth[mu], mu))
+
+        # Freudenthal on the dominant weights only, by increasing depth, each
+        # mu + k r read at its dominant representative (as in Moody-Patera,
+        # "Fast recursion formula for weight multiplicities", 1982).  That
+        # representative lies strictly above mu, so it is done already.
         top = norm2([x + 1 for x in lam])
         mult = {lam: 1}
-        roots = []
-        for r in self.positive_roots.tolist():
-            fr = pairing_vector(r)
-            roots.append((tuple(r), fr, dot(r, fr)))
-        for level in levels[1:]:
-            for mu in level:
-                if not self.is_dominant(mu):
-                    # multiplicities are W-invariant, and the dominant
-                    # representative lies higher, in an earlier level
-                    mult[mu] = mult[self.dominant_rep(mu)]
-                    continue
-                denom = top - norm2([m + 1 for m in mu])
-                assert denom > 0
-                acc = 0
-                for r, fr, rr in roots:
-                    # <mu + k r, r> scaled by form_den, for k = 1, 2, ...
-                    pair = dot(mu, fr)
-                    up = mu
-                    while True:
-                        up = tuple(x + y for x, y in zip(up, r))
-                        if up not in found:
-                            break
-                        pair += rr
-                        acc += mult[up] * pair
-                num = 2 * acc
-                assert num % denom == 0, "Freudenthal recursion must stay integral"
-                mult[mu] = num // denom
-        return mult
+        for mu in order[1:]:
+            denom = top - norm2([m + 1 for m in mu])
+            assert denom > 0
+            acc = 0
+            for r, fr, rr, _ in roots:
+                # <mu + k r, r> scaled by form_den, for k = 1, 2, ...; the
+                # r-string through mu has no gaps
+                pair = dot(mu, fr)
+                up = mu
+                while True:
+                    up = tuple(x + y for x, y in zip(up, r))
+                    m = mult.get(self.dominant_rep(up), 0)
+                    if not m:
+                        break
+                    pair += rr
+                    acc += m * pair
+            num = 2 * acc
+            assert num % denom == 0, "Freudenthal recursion must stay integral"
+            mult[mu] = num // denom
+
+        # Every other weight, in one batched walk of the dominant rows'
+        # orbits, with the multiplicity riding along as a last column.  A
+        # non-dominant x has one parent s_i.x, with i its first negative
+        # coordinate (the step dominant_rep_signed takes), so applying s_i
+        # to rows with coordinate i > 0 and keeping an image only when i is
+        # its first negative coordinate generates each weight once.  Unlike
+        # signed_orbit, whose |W| rows are reflected one i at a time, these
+        # batches are small: one numpy pass per layer covers every i.
+        n = self.rank
+        alpha = np.zeros((n, n + 1), dtype=np.int64)
+        alpha[:, :n] = self.cartan.T        # row i: alpha_i, multiplicity 0
+        cur = np.array([mu + (mult[mu],) for mu in order], dtype=np.int64)
+        layers = []
+        while len(cur):
+            layers.append(cur)
+            k, i = np.nonzero(cur[:, :n] > 0)
+            w = cur[k] - cur[k, i][:, None] * alpha[i]
+            # coordinate i of w is negative; keep w if none comes before it
+            cur = w[(w[:, :n] < 0).argmax(axis=1) == i]
+        rows = np.vstack(layers)
+        return np.ascontiguousarray(rows[:, :n]), rows[:, n].copy()
 
     # -- tensor products ------------------------------------------------
 
@@ -448,10 +466,25 @@ class RootDatum:
         return out
 
     def tensor_multiplicities(self, lam, mu):
-        """V(lam) (x) V(mu) as a map {nu: multiplicity}."""
+        """V(lam) (x) V(mu) as a map {nu: multiplicity}.
+
+        Klimyk runs over the weights of whichever factor has fewer of them;
+        the result is cached per pair, and a copy is returned.
+        """
+        lam = tuple(int(x) for x in lam)
+        mu = tuple(int(x) for x in mu)
         self._require_dominant(lam)
         self._require_dominant(mu)
-        return self.tensor_with_character(lam, self.weight_system(mu))
+        key = min((lam, mu), (mu, lam))
+        with self._lock:
+            hit = self._tensor_cache.get(key)
+        if hit is None:
+            if len(self.weight_system(lam)) < len(self.weight_system(mu)):
+                lam, mu = mu, lam
+            hit = self.tensor_with_character(lam, self.weight_system(mu))
+            with self._lock:
+                hit = self._tensor_cache.setdefault(key, hit)
+        return dict(hit)
 
     # -- characters -------------------------------------------------------
 
@@ -474,9 +507,7 @@ class RootDatum:
         yd = np.array(y.num, dtype=np.int64)
         table = _roots_of_unity(d)
         if method == "weights":
-            ws = self.weight_system(lam)
-            vecs = np.array(list(ws.keys()), dtype=np.int64)
-            mults = np.array(list(ws.values()), dtype=np.int64)
+            vecs, mults = self._weight_arrays(lam)
             return _phase_sum((vecs @ yd) % d, mults, d, table)
         if not self.point_is_regular(y):
             raise SingularPoint("point lies on a root hyperplane")
@@ -539,10 +570,6 @@ def build_root_datum(lie_type, rank):
 
 def weyl_dimension(rd, weight):
     return rd.weyl_dimension(weight)
-
-
-def weight_multiplicities(rd, weight):
-    return rd.weight_system(weight)
 
 
 def tensor_multiplicities(rd, lam, mu):

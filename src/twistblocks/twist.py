@@ -1,6 +1,7 @@
 """Automorphism layer: diagram/standard automorphisms, fixed subalgebras,
 weight restriction and branching, twisted level alphabets."""
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -284,8 +285,16 @@ def weight_alphabet(twist, c):
     if c < 0:
         raise ValueError("level must be >= 0")
     twist._require_standard("the level alphabet")
+    return _alphabet(twist.ambient, twist.kind.tag, c)
+
+
+@functools.cache
+def _alphabet(ambient, tag, c):
+    """weight_alphabet, built once per (ambient, tag, c); keyed like
+    dims._table, since TwistData is not hashable."""
+    twist = build_twist(ambient, tag)
     members = _bounded_lex([int(m) for m in twist.level_marks], c)
-    if twist.kind.tag != "identity":
+    if tag != "identity":
         for lam in members:
             assert twist.fixed.dual_weight(lam) == lam, \
                 "twisted alphabet members must be self-dual"
@@ -323,10 +332,10 @@ def branch_to_fixed(twist, nu):
 
 def _branch_uncached(twist, nu):
     fixed = twist.fixed
-    rows = twist.restriction_matrix.tolist()
+    ws = twist.ambient.weight_system(nu)
+    restricted = np.array(list(ws), dtype=np.int64) @ twist.restriction_matrix.T
     remaining = {}
-    for w, m in twist.ambient.weight_system(nu).items():
-        rw = tuple(sum(a * x for a, x in zip(row, w)) for row in rows)
+    for rw, m in zip(map(tuple, restricted.tolist()), ws.values()):
         remaining[rw] = remaining.get(rw, 0) + m
     hf = [sum(fixed.cartan_inv[i][j] for i in range(fixed.rank))
           for j in range(fixed.rank)]

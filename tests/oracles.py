@@ -3,8 +3,9 @@
 Nothing here may call back into the computation paths it validates: the
 sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
 normal form, the twisted level marks are a frozen table, Weyl orbits
-come from a set-based search that uses only the Cartan matrix, and type-A
-weight multiplicities are Kostka numbers counted on semistandard tableaux.
+and root systems come from set-based searches that use only the Cartan
+matrix, and type-A weight multiplicities are Kostka numbers counted on
+semistandard tableaux.
 """
 
 import numpy as np
@@ -121,6 +122,35 @@ def signed_orbit_bfs(cartan, vec):
                     nxt.append(w)
         frontier = nxt
     return signs
+
+
+def roots_by_reflection(cartan):
+    """All roots, as weight tuples: the simple roots (Cartan columns) closed
+    under the simple reflections v -> v - v[i] * (column i)."""
+    a = [[int(x) for x in row] for row in cartan]
+    n = len(a)
+    roots = {tuple(a[k][j] for k in range(n)) for j in range(n)}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = tuple(v[k] - v[i] * a[k][i] for k in range(n))
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return roots
+
+
+def number_of_roots_classical(lie_type, rank):
+    if lie_type == "A":
+        return rank * (rank + 1)
+    if lie_type in ("B", "C"):
+        return 2 * rank * rank
+    if lie_type == "D":
+        return 2 * rank * (rank - 1)
+    return {"E": 72, "F": 48, "G": 12}[lie_type]
 
 
 def kostka_numbers(shape, letters):

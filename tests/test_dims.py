@@ -10,7 +10,7 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import _table
+from twistblocks.dims import _PointTable, _table
 from oracles import STANDARD_ROWS, sl2_verlinde
 
 A1 = build_root_datum("A", 1)
@@ -304,6 +304,18 @@ def test_dimension_results_are_clean_integers():
             assert res.value >= 0
             assert res.residual < 1e-5
             assert abs(res.raw.imag) < 1e-7
+
+
+def test_point_table_builds_ambient_exponents_when_read():
+    # fusion coefficients and classical sums read no ambient character
+    data = tw("A", 3, "diagram2")
+    table = _PointTable(data, 2)
+    table.fixed_char((1, 0))
+    table.delta_sigma
+    assert "ambient_y" not in vars(table)
+    chi = table.ambient_char((1, 0, 0))
+    assert "ambient_y" in vars(table)
+    assert chi == _table(data.ambient, "diagram2", 2).ambient_char((1, 0, 0))
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistblocks import (NonDominant, SingularPoint, UnsupportedType,
+from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
                          build_root_datum)
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, kostka_numbers,
+                     number_of_roots_classical, roots_by_reflection,
                      signed_orbit_bfs, weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
@@ -155,6 +157,23 @@ def test_weight_multiplicities_match_kostka_numbers():
             assert rd.weight_system(lam) == want, (n, lam)
 
 
+def test_adjoint_weight_system():
+    # V(theta) is the adjoint representation: every root once, and the
+    # zero weight rank times
+    for t, r in SUPPORTED_TYPES:
+        rd = build_root_datum(t, r)
+        roots = roots_by_reflection(rd.cartan)
+        assert len(roots) == number_of_roots_classical(t, r)
+        theta = rd.highest_root
+        ws = rd.weight_system(theta)
+        assert ws == {**{w: 1 for w in roots}, (0,) * r: r}, (t, r)
+        assert sum(ws.values()) == rd.weyl_dimension(theta)
+        # the batched orbit expansion generates every weight once
+        vecs, mults = rd._weight_arrays(theta)
+        assert len(set(map(tuple, vecs.tolist()))) == len(vecs) == len(ws)
+        assert dict(zip(map(tuple, vecs.tolist()), mults.tolist())) == ws
+
+
 def test_tensor_examples():
     assert A1.tensor_multiplicities((1,), (1,)) == {(0,): 1, (2,): 1}
     assert A2.tensor_multiplicities((1, 0), (0, 1)) == {(1, 1): 1, (0, 0): 1}
@@ -176,6 +195,43 @@ def test_tensor_symmetry_and_dimension():
             total = sum(m * rd.weyl_dimension(eta) for eta, m in ab.items())
             assert total == rd.weyl_dimension(lam) * rd.weyl_dimension(mu)
             assert all(m > 0 for m in ab.values())
+
+
+_SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2), ("D", 4)]
+
+
+@st.composite
+def _datum_and_two_weights(draw):
+    t, r = draw(st.sampled_from(_SMALL_TYPES))
+    coord = st.integers(0, 2 if r <= 2 else 1)
+    lam = tuple(draw(coord) for _ in range(r))
+    mu = tuple(draw(coord) for _ in range(r))
+    return build_root_datum(t, r), lam, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datum_and_two_weights())
+def test_klimyk_either_factor_and_dimension(case):
+    rd, lam, mu = case
+    ab = rd.tensor_with_character(lam, rd.weight_system(mu))
+    ba = rd.tensor_with_character(mu, rd.weight_system(lam))
+    assert ab == ba
+    total = sum(m * rd.weyl_dimension(kappa) for kappa, m in ab.items())
+    assert total == rd.weyl_dimension(lam) * rd.weyl_dimension(mu)
+
+
+def test_tensor_cache_hit_matches_direct_klimyk():
+    rd = RootDatum("C", 3)    # a private instance: its cache starts empty
+    pairs = [((1, 0, 1), (0, 2, 0)), ((0, 0, 1), (2, 1, 0)), ((1, 1, 0), (1, 1, 0))]
+    for lam, mu in pairs:
+        direct = rd.tensor_with_character(lam, rd.weight_system(mu))
+        first = rd.tensor_multiplicities(lam, mu)
+        size = len(rd._tensor_cache)
+        first[lam] = first.get(lam, 0) + 7    # the caller owns its copy
+        for a, b in ((lam, mu), (mu, lam)):
+            assert rd.tensor_multiplicities(a, b) == direct
+        assert len(rd._tensor_cache) == size   # both orders were hits
+    assert len(rd._tensor_cache) == len(pairs)
 
 
 def test_character_examples():
