@@ -298,32 +298,37 @@ class RootDatum:
             return hit
 
     def _signed_orbit_nolock(self, key):
-        # Walk the orbit layer by layer in the length of w.  For regular x the
-        # left descents of w are the negative coordinates of w.x (Humphreys,
-        # Reflection Groups and Coxeter Groups, 1.6-1.7): s_i goes one layer
-        # up exactly on rows with coordinate i > 0.  An image is kept only
-        # when i is its first negative coordinate, so every orbit point has
-        # one parent and is generated once.
         if any(x <= 0 for x in key):
             raise ValueError("signed_orbit needs a strictly dominant vector")
+        layers = self._orbit_layers(np.array([key], dtype=np.int64))
+        # for regular x the layer index is the length of w in w.x
+        signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
+                 for k, cur in enumerate(layers)]
+        return np.vstack(layers), np.concatenate(signs)
+
+    def _orbit_layers(self, cur):
+        """The Weyl orbits of the dominant rows of cur, layer by layer.
+
+        Columns past the rank are a payload that each image copies from its
+        parent.  A non-dominant x has one parent s_i.x, with i its first
+        negative coordinate (the step dominant_rep_signed takes), so s_i is
+        applied to rows with coordinate i > 0 and an image is kept only when
+        i is its first negative coordinate: every orbit point is generated
+        once.  For regular x these steps go up in the length of w
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
+        """
+        n = self.rank
         a = self.cartan
-        cur = np.array([key], dtype=np.int64)
-        chunks = [cur]
-        signs = [np.ones(1, dtype=np.int8)]
-        sign = 1
-        while True:
+        layers = []
+        while len(cur):
+            layers.append(cur)
             nxt = []
-            for i in range(self.rank):
+            for i in range(n):
                 w = cur[cur[:, i] > 0]
-                w -= w[:, i:i + 1] * a[:, i]
-                nxt.append(w[(w[:, :i] > 0).all(axis=1)])
+                w[:, :n] -= w[:, i:i + 1] * a[:, i]
+                nxt.append(w[(w[:, :i] >= 0).all(axis=1)])
             cur = np.vstack(nxt)
-            if not len(cur):
-                break
-            sign = -sign
-            chunks.append(cur)
-            signs.append(np.full(len(cur), sign, dtype=np.int8))
-        return np.vstack(chunks), np.concatenate(signs)
+        return layers
 
     # -- dimensions and weight multiplicities --------------------------
 
@@ -421,25 +426,10 @@ class RootDatum:
             mult[mu] = num // denom
 
         # Every other weight, in one batched walk of the dominant rows'
-        # orbits, with the multiplicity riding along as a last column.  A
-        # non-dominant x has one parent s_i.x, with i its first negative
-        # coordinate (the step dominant_rep_signed takes), so applying s_i
-        # to rows with coordinate i > 0 and keeping an image only when i is
-        # its first negative coordinate generates each weight once.  Unlike
-        # signed_orbit, whose |W| rows are reflected one i at a time, these
-        # batches are small: one numpy pass per layer covers every i.
+        # orbits, with the multiplicity riding along as a last column
         n = self.rank
-        alpha = np.zeros((n, n + 1), dtype=np.int64)
-        alpha[:, :n] = self.cartan.T        # row i: alpha_i, multiplicity 0
         cur = np.array([mu + (mult[mu],) for mu in order], dtype=np.int64)
-        layers = []
-        while len(cur):
-            layers.append(cur)
-            k, i = np.nonzero(cur[:, :n] > 0)
-            w = cur[k] - cur[k, i][:, None] * alpha[i]
-            # coordinate i of w is negative; keep w if none comes before it
-            cur = w[(w[:, :n] < 0).argmax(axis=1) == i]
-        rows = np.vstack(layers)
+        rows = np.vstack(self._orbit_layers(cur))
         return np.ascontiguousarray(rows[:, :n]), rows[:, n].copy()
 
     # -- tensor products ------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
                          build_root_datum)
@@ -189,35 +188,14 @@ def test_tensor_symmetry_and_dimension():
         for _ in range(5):
             lam = tuple(rng.randrange(0, 2) for _ in range(r))
             mu = tuple(rng.randrange(0, 2) for _ in range(r))
-            ab = rd.tensor_multiplicities(lam, mu)
-            ba = rd.tensor_multiplicities(mu, lam)
+            # Klimyk over either factor; the cached product is one of them
+            ab = rd.tensor_with_character(lam, rd.weight_system(mu))
+            ba = rd.tensor_with_character(mu, rd.weight_system(lam))
             assert ab == ba
+            assert rd.tensor_multiplicities(lam, mu) == ab
             total = sum(m * rd.weyl_dimension(eta) for eta, m in ab.items())
             assert total == rd.weyl_dimension(lam) * rd.weyl_dimension(mu)
             assert all(m > 0 for m in ab.values())
-
-
-_SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2), ("D", 4)]
-
-
-@st.composite
-def _datum_and_two_weights(draw):
-    t, r = draw(st.sampled_from(_SMALL_TYPES))
-    coord = st.integers(0, 2 if r <= 2 else 1)
-    lam = tuple(draw(coord) for _ in range(r))
-    mu = tuple(draw(coord) for _ in range(r))
-    return build_root_datum(t, r), lam, mu
-
-
-@settings(max_examples=60, deadline=None)
-@given(_datum_and_two_weights())
-def test_klimyk_either_factor_and_dimension(case):
-    rd, lam, mu = case
-    ab = rd.tensor_with_character(lam, rd.weight_system(mu))
-    ba = rd.tensor_with_character(mu, rd.weight_system(lam))
-    assert ab == ba
-    total = sum(m * rd.weyl_dimension(kappa) for kappa, m in ab.items())
-    assert total == rd.weyl_dimension(lam) * rd.weyl_dimension(mu)
 
 
 def test_tensor_cache_hit_matches_direct_klimyk():
