@@ -27,6 +27,7 @@ class AlcoveEnumeration:
     twist: TwistData
     level: int
     points: tuple           # TorusPoint of the fixed Cartan
+    exponents: tuple        # Exponents of each point for the fixed algebra
     labels: tuple           # alphabet element that produced each point
     order_T: int
     order_Tsigma: int
@@ -124,14 +125,15 @@ def enumerate_sigma_c(twist, c):
             f"|Sigma_c| = {len(pts)} differs from |D_c,sigma| = {alphabet_size}")
     if len({p.xi for p in pts}) != len(pts):
         raise AssertionError("enumerated torus points are not distinct")
-    for p in pts:
-        if not twist.fixed.point_is_regular(twist.fixed.exponent_vector(p.xi)):
+    exponents = tuple(twist.fixed.exponent_vector(p.xi) for p in pts)
+    for p, y in zip(pts, exponents):
+        if not twist.fixed.point_is_regular(y):
             raise AssertionError(f"enumerated point {p.xi} is not regular")
 
     order_t, order_ts = lattice_orders(twist, c)
     return AlcoveEnumeration(twist=twist, level=c, points=tuple(pts),
-                             labels=tuple(labels), order_T=order_t,
-                             order_Tsigma=order_ts)
+                             exponents=exponents, labels=tuple(labels),
+                             order_T=order_t, order_Tsigma=order_ts)
 
 
 def fold_to_alcove(twist, c, eta):

@@ -101,26 +101,49 @@ class _PointTable:
     def __init__(self, twist, c):
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
-        self.fixed_y = [twist.fixed.exponent_vector(pt.xi) for pt in self.enum.points]
+        self.fixed_y = self.enum.exponents
 
     @functools.cached_property
     def ambient_y(self):
-        return [self.twist.ambient_exponents(pt.xi) for pt in self.enum.points]
+        return [self.twist.ambient_exponents(y) for y in self.fixed_y]
+
+    @functools.cached_property
+    def fixed_weyl_den(self):
+        return self.twist.fixed.weyl_denominators(self.fixed_y)
+
+    @functools.cached_property
+    def ambient_regular(self):
+        """Indices of the points that are regular for the ambient algebra."""
+        rd = self.twist.ambient
+        return [k for k, y in enumerate(self.ambient_y) if rd.point_is_regular(y)]
+
+    @functools.cached_property
+    def ambient_weyl_den(self):
+        return self.twist.ambient.weyl_denominators(
+            [self.ambient_y[k] for k in self.ambient_regular])
 
     @functools.cache
     def fixed_char(self, lam):
-        fixed = self.twist.fixed
-        return [fixed.character_at_exponents(lam, y) for y in self.fixed_y]
+        return self.twist.fixed.character_at_exponents(
+            lam, self.fixed_y, weyl_den=self.fixed_weyl_den)
 
     @functools.cache
     def ambient_char(self, nu):
         rd = self.twist.ambient
-        small = rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP
-        values = []
-        for y in self.ambient_y:
-            method = "weights" if small or not rd.point_is_regular(y) else "quotient"
-            values.append(rd.character_at_exponents(nu, y, method=method))
-        return values
+        ys = self.ambient_y
+        if rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
+            return rd.character_at_exponents(nu, ys, method="weights")
+        # the quotient at the ambient-regular points, weight sums elsewhere
+        values = {}
+        regular = self.ambient_regular
+        if regular:
+            values.update(zip(regular, rd.character_at_exponents(
+                nu, [ys[k] for k in regular], weyl_den=self.ambient_weyl_den)))
+        singular = [k for k in range(len(ys)) if k not in values]
+        if singular:
+            values.update(zip(singular, rd.character_at_exponents(
+                nu, [ys[k] for k in singular], method="weights")))
+        return [values[k] for k in range(len(ys))]
 
     @functools.cached_property
     def delta_sigma(self):
@@ -301,6 +324,7 @@ def factorized_dimension(req):
                nu=nu)).value for nu in dc]
           for k in range(a)]
 
+    duals = [rd.dual_weight(nu) for nu in dc]
     total = 0.0
     for idx in itertools.product(range(len(dc)), repeat=a):
         coeff = 1
@@ -310,8 +334,7 @@ def factorized_dimension(req):
                 break
         if coeff == 0:
             continue
-        duals = tuple(rd.dual_weight(dc[i]) for i in idx)
-        classical = _classical_raw(rd, c, gbar, mus + duals)
+        classical = _classical_raw(rd, c, gbar, mus + tuple(duals[i] for i in idx))
         total += coeff * classical
     return _finalize(total, f"factorized N_({gbar},a={a})")
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonDominant, SingularPoint, UnsupportedType
-from .util import fraction_lcm_den, rational_inverse, solve_rational
+from .util import fraction_lcm_den, rational_inverse
 
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
@@ -30,6 +30,9 @@ _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
 
 # numeric guard for character denominators, scaled by |W| (see module docs)
 _SINGULAR_TOL = 1e-8
+
+# phases held at once by one _phase_sums block (orbit rows x points)
+_PHASE_BLOCK = 1 << 15
 
 _datum_cache = {}
 _datum_lock = threading.Lock()
@@ -95,6 +98,10 @@ class RootDatum:
         # column j as plain ints: the simple root alpha_j in weight coordinates
         self._cols = tuple(tuple(int(x) for x in self.cartan[:, j]) for j in range(rank))
         self.cartan_inv = rational_inverse(self.cartan.tolist())
+        # the same inverse as integer numerators over one denominator
+        self._cinv_den = fraction_lcm_den(x for row in self.cartan_inv for x in row)
+        self._cinv_num = [[int(x * self._cinv_den) for x in row]
+                          for row in self.cartan_inv]
         self.rho = tuple([1] * rank)
         self.rho_check = tuple([1] * rank)
 
@@ -113,7 +120,9 @@ class RootDatum:
         self._orbit_cache = {}
         self._weights_cache = {}
         self._tensor_cache = {}
-        self._weyl_order = None
+        # rho's signed orbit and the (reflection, parent rows) steps of its walk
+        self._rho_orbit = None
+        self._rho_steps = None
 
     # -- static data -------------------------------------------------
 
@@ -174,10 +183,12 @@ class RootDatum:
         self.highest_root = tuple(int(x) for x in pr[np.argmax(heights)])
         self.marks = tuple(int(x) for x in pa[np.argmax(heights)])
 
-        norms = [self.form_value(r, r) for r in pr]
-        top_norm = max(norms)
-        assert top_norm == 2, "normalized form must give <theta,theta> = 2"
-        shorts = [i for i, nm in enumerate(norms) if nm < 2]
+        # <r, .> scaled by form_den, as integer rows, and <r, r> scaled alike
+        fr = pr @ np.array(self._form_num, dtype=np.int64).T
+        norms = (fr * pr).sum(axis=1)
+        assert norms.max() == 2 * self._form_den, \
+            "normalized form must give <theta,theta> = 2"
+        shorts = [i for i, nm in enumerate(norms) if nm < 2 * self._form_den]
         if shorts:
             hs = max(shorts, key=lambda i: heights[i])
             self.highest_short_root = tuple(int(x) for x in pr[hs])
@@ -186,22 +197,19 @@ class RootDatum:
             self.highest_short_root = self.highest_root
 
         # coroot of theta in the simple-coroot basis -> dual Kac labels
+        # (A^T)^{-1} m, read off the inverse already held
         mvec = [self._sym[i] * self.highest_root[i] for i in range(self.rank)]
-        dm = solve_rational([list(r) for r in self.cartan.T], mvec)
+        dm = [sum(self.cartan_inv[j][i] * mvec[j] for j in range(self.rank))
+              for i in range(self.rank)]
         assert all(x.denominator == 1 for x in dm)
         self.dual_marks = tuple(int(x) for x in dm)
         self.dual_coxeter = 1 + sum(self.dual_marks)
 
-        # per positive root: integer vector cv with lambda(root^vee) = cv . lambda
-        cvs = []
-        for r in pr:
-            fr = [sum(self._form[i][j] * int(r[j]) for j in range(self.rank))
-                  for i in range(self.rank)]
-            nrm = sum(fr[j] * int(r[j]) for j in range(self.rank))
-            cv = [2 * x / nrm for x in fr]
-            assert all(v.denominator == 1 for v in cv)
-            cvs.append([int(v) for v in cv])
-        self.coroot_pairings = np.array(cvs, dtype=np.int64)
+        # per positive root: integer vector cv with lambda(root^vee) = cv . lambda,
+        # cv = 2 <r, .> / <r, r>; the form_den scale cancels
+        cv, rem = np.divmod(2 * fr, norms[:, None])
+        assert not rem.any()
+        self.coroot_pairings = cv
 
     @property
     def simple_roots(self):
@@ -232,11 +240,15 @@ class RootDatum:
 
     def exponent_vector(self, xi):
         """Exponents y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
-        n = self.rank
-        y = [sum(self.cartan_inv[j][i] * Fraction(xi[j]) for j in range(n))
-             for i in range(n)]
-        den = fraction_lcm_den(y)
-        return Exponents(tuple(int(v * den) for v in y), den)
+        xi = [Fraction(x) for x in xi]
+        scale = math.lcm(*(x.denominator for x in xi))
+        a = [x.numerator * (scale // x.denominator) for x in xi]
+        # y = (A^{-1})^T xi = (num . a) / (cinv_den * scale), then lowest terms
+        num = [sum(row[i] * x for row, x in zip(self._cinv_num, a))
+               for i in range(self.rank)]
+        den = self._cinv_den * scale
+        g = math.gcd(den, *num)
+        return Exponents(tuple(x // g for x in num), den // g)
 
     def level(self, weight):
         """lambda(theta^vee) = sum of dual marks times coordinates."""
@@ -279,10 +291,7 @@ class RootDatum:
     @property
     def weyl_order(self):
         with self._lock:
-            if self._weyl_order is None:
-                self._weyl_order = len(self._signed_orbit_nolock(
-                    tuple([1] * self.rank))[0])
-            return self._weyl_order
+            return len(self._walk_rho()[0])
 
     def signed_orbit(self, vec):
         """Weyl orbit of a strictly dominant vector with (-1)^length signs.
@@ -298,15 +307,49 @@ class RootDatum:
             return hit
 
     def _signed_orbit_nolock(self, key):
+        """Replay rho's walk on key.
+
+        Each step of the walk of a regular dominant x applies s_i to rows
+        w.x with <w.x, alpha_i^vee> > 0 and keeps an image whose first
+        negative coordinate is i.  Both tests read only the signs of the
+        roots w^{-1} alpha_j, so the walk of x takes the steps of rho's walk
+        in the same order, and its orbit rows come out in the same order
+        with the same signs.
+        """
         if any(x <= 0 for x in key):
             raise ValueError("signed_orbit needs a strictly dominant vector")
-        layers = self._orbit_layers(np.array([key], dtype=np.int64))
-        # for regular x the layer index is the length of w in w.x
-        signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
-                 for k, cur in enumerate(layers)]
-        return np.vstack(layers), np.concatenate(signs)
+        orbit, signs = self._walk_rho()
+        if key == self.rho:
+            return orbit, signs
+        a = self.cartan
+        blocks, parents = self._rho_steps
+        out = np.empty_like(orbit)
+        out[0] = key
+        pos = 1
+        for i, m in blocks:
+            # parents[k - 1] is the row that row k is the s_i-image of
+            rows = np.take(out, parents[pos - 1:pos - 1 + m], axis=0)
+            rows -= np.multiply.outer(rows[:, i], a[:, i])
+            out[pos:pos + m] = rows
+            pos += m
+        return out, signs
 
-    def _orbit_layers(self, cur):
+    def _walk_rho(self):
+        """rho's signed orbit, walked once, and the steps of that walk."""
+        if self._rho_orbit is None:
+            steps = []
+            layers = self._orbit_layers(np.array([self.rho], dtype=np.int64), steps)
+            # for regular x the layer index is the length of w in w.x
+            signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
+                     for k, cur in enumerate(layers)]
+            self._rho_orbit = np.vstack(layers), np.concatenate(signs)
+            del layers
+            # (reflection, block size) pairs, and every parent in one array
+            self._rho_steps = ([(i, len(p)) for i, p in steps],
+                               np.concatenate([p for _, p in steps]).astype(np.int32))
+        return self._rho_orbit
+
+    def _orbit_layers(self, cur, steps=None):
         """The Weyl orbits of the dominant rows of cur, layer by layer.
 
         Columns past the rank are a payload that each image copies from its
@@ -316,17 +359,26 @@ class RootDatum:
         i is its first negative coordinate: every orbit point is generated
         once.  For regular x these steps go up in the length of w
         (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
+
+        A list passed as steps receives one (i, parents) pair per block of
+        images, parents indexing the rows of all layers stacked.
         """
         n = self.rank
         a = self.cartan
         layers = []
+        start = 0
         while len(cur):
             layers.append(cur)
             nxt = []
             for i in range(n):
-                w = cur[cur[:, i] > 0]
+                up = cur[:, i] > 0
+                w = cur[up]
                 w[:, :n] -= w[:, i:i + 1] * a[:, i]
-                nxt.append(w[(w[:, :i] >= 0).all(axis=1)])
+                keep = (w[:, :i] >= 0).all(axis=1)
+                nxt.append(w[keep])
+                if steps is not None:
+                    steps.append((i, np.flatnonzero(up)[keep] + start))
+            start += len(cur)
             cur = np.vstack(nxt)
         return layers
 
@@ -486,52 +538,82 @@ class RootDatum:
         """exp(2 pi i y-pairing) differs from 1 on every root."""
         return all(p % y.den for p in self.root_pairings(y))
 
-    def character_at_exponents(self, lam, y, method="quotient"):
-        """chi_lambda at the point with exponents y, as a complex number.
+    def weyl_denominators(self, ys):
+        """The alternating sum over W of e^{w rho} at each point of ys.
 
-        Weight exponents are integer combinations of y.num reduced mod
-        y.den, evaluated through a single root-of-unity table.
+        Raises SingularPoint if a point lies on a root hyperplane or its
+        value is below the guard.
+        """
+        if not all(self.point_is_regular(y) for y in ys):
+            raise SingularPoint("point lies on a root hyperplane")
+        orbit, signs = self.signed_orbit(self.rho)
+        values = _phase_sums(orbit, signs, ys)
+        if any(abs(v) < _SINGULAR_TOL * len(orbit) for v in values):
+            raise SingularPoint("Weyl denominator below tolerance")
+        return values
+
+    def character_at_exponents(self, lam, ys, method="quotient", weyl_den=None):
+        """chi_lambda at every point of the exponent list ys, as complex numbers.
+
+        "quotient" divides the alternating sum over the orbit of lam+rho by
+        the Weyl denominators (weyl_den, if the caller holds them for ys);
+        "weights" sums over the weights of V(lam) and needs no regularity.
         """
         self._require_dominant(lam)
-        d = y.den
-        yd = np.array(y.num, dtype=np.int64)
-        table = _roots_of_unity(d)
         if method == "weights":
             vecs, mults = self._weight_arrays(lam)
-            return _phase_sum((vecs @ yd) % d, mults, d, table)
-        if not self.point_is_regular(y):
-            raise SingularPoint("point lies on a root hyperplane")
-        lr = tuple(x + 1 for x in lam)
-        orb, signs = self.signed_orbit(lr)
-        rho_orb, rho_signs = self.signed_orbit(tuple([1] * self.rank))
-        num = _phase_sum((orb @ yd) % d, signs, d, table)
-        den = _phase_sum((rho_orb @ yd) % d, rho_signs, d, table)
-        if abs(den) < _SINGULAR_TOL * len(rho_orb):
-            raise SingularPoint("Weyl denominator below tolerance")
-        return num / den
+            return _phase_sums(vecs, mults, ys)
+        if weyl_den is None:
+            weyl_den = self.weyl_denominators(ys)
+        orbit, signs = self.signed_orbit(tuple(x + 1 for x in lam))
+        return [num / den for num, den in zip(_phase_sums(orbit, signs, ys), weyl_den)]
 
     def character_value(self, lam, xi):
         """chi_lambda(exp(2 pi i xi)) by the Weyl quotient formula."""
-        return self.character_at_exponents(lam, self.exponent_vector(xi))
+        return self.character_at_exponents(lam, [self.exponent_vector(xi)])[0]
 
     def character_by_weights(self, lam, xi):
         """Same value by the direct weight-multiplicity sum (no regularity needed)."""
-        return self.character_at_exponents(lam, self.exponent_vector(xi),
-                                           method="weights")
+        return self.character_at_exponents(lam, [self.exponent_vector(xi)],
+                                           method="weights")[0]
 
     def __repr__(self):
         return f"RootDatum({self.lie_type}{self.rank})"
 
 
-def _phase_sum(phases, weights, d, table):
-    """sum weights[j] * table[phases[j]], accumulated exactly.
+def _phase_sums(rows, weights, ys):
+    """[sum_j weights[j] * e^{2 pi i (rows[j] . y.num) / y.den} for y in ys].
 
-    Integer weights are first bucketed per phase residue (exact in float64
-    up to 2^53), so the heavy alternating cancellation happens in integer
-    arithmetic; only the final <= d-term sum touches floats.
+    Every phase rows[j] . y.num is an exact integer.  One bincount per block
+    of points sums the integer weights per (point, phase), and each point's
+    sums are folded onto the residues modulo its own y.den: exact in float64
+    up to 2^53, so the heavy alternating cancellation happens in integer
+    arithmetic, and only each point's final <= den-term sum over its roots
+    of unity touches floats.  A common modulus for all points would change
+    those last sums' rounding.
     """
-    counts = np.bincount(phases, weights=weights.astype(np.float64), minlength=d)
-    return complex(math.fsum(counts * table.real), math.fsum(counts * table.imag))
+    out = []
+    weights = weights.astype(np.float64)
+    step = max(1, _PHASE_BLOCK // len(rows))
+    for s in range(0, len(ys), step):
+        block = ys[s:s + step]
+        # one row of phases per point; y.num reduced mod den keeps them small
+        phases = np.array([[x % y.den for x in y.num] for y in block],
+                          dtype=np.int64) @ rows.T
+        lo = phases.min(axis=1)
+        size = phases.max(axis=1) - lo + 1
+        offsets = np.cumsum(size) - size
+        phases += (offsets - lo)[:, None]
+        counts = np.bincount(phases.ravel(),
+                             weights=np.broadcast_to(weights, phases.shape).ravel())
+        for y, off, n, low in zip(block, offsets.tolist(), size.tolist(), lo.tolist()):
+            d = y.den
+            # the counts of the phases low .. low + n - 1, folded mod d
+            c = np.bincount(np.arange(low, low + n) % d, weights=counts[off:off + n],
+                            minlength=d)
+            table = _roots_of_unity(d)
+            out.append(complex(math.fsum(c * table.real), math.fsum(c * table.imag)))
+    return out
 
 
 _unity_cache = {}

@@ -119,12 +119,12 @@ class TwistData:
     def weight_level(self, lam):
         return sum(int(m) * int(x) for m, x in zip(self.level_marks, lam))
 
-    def ambient_exponents(self, xi):
-        """Exponents of the same point for ambient weights, in lowest terms.
+    def ambient_exponents(self, yf):
+        """Exponents for ambient weights of the point with fixed exponents yf,
+        in lowest terms.
 
         omega_i^g(xi) = (R omega_i^g)(xi), so y_g = R^T y_fixed.
         """
-        yf = self.fixed.exponent_vector(xi)
         num = (yf.num @ self.restriction_matrix).tolist()
         g = math.gcd(yf.den, *num)
         return Exponents(tuple(x // g for x in num), yf.den // g)

@@ -2,9 +2,9 @@
 
 Nothing here may call back into the computation paths it validates: the
 sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
-normal form, the twisted level marks are a frozen table, Weyl orbits
-and root systems come from set-based searches that use only the Cartan
-matrix, and type-A weight multiplicities are Kostka numbers counted on
+normal form, the twisted level marks are a frozen table, Weyl orbits,
+root systems and coroots come from set-based searches that use only the
+Cartan matrix, and type-A weight multiplicities are Kostka numbers counted on
 semistandard tableaux.
 """
 
@@ -141,6 +141,31 @@ def roots_by_reflection(cartan):
                     nxt.append(w)
         frontier = nxt
     return roots
+
+
+def positive_coroots(cartan):
+    """Positive coroots in simple-coroot coordinates d, so that a weight x
+    (fundamental-weight coordinates) pairs with the coroot as d . x.
+
+    The coroots are the roots of the transposed Cartan matrix: the simple
+    ones closed under s_i(d) = d - (sum_j cartan[j][i] d_j) e_i, the
+    non-negative vectors kept.
+    """
+    a = [[int(x) for x in row] for row in cartan]
+    n = len(a)
+    found = {tuple(int(k == j) for k in range(n)) for j in range(n)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for i in range(n):
+                pair = sum(a[j][i] * d[j] for j in range(n))
+                w = tuple(d[k] - pair * (k == i) for k in range(n))
+                if w not in found:
+                    found.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(d for d in found if all(x >= 0 for x in d))
 
 
 def number_of_roots_classical(lie_type, rank):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -214,3 +215,40 @@ def test_imaginary_part_exits_1(tmp_path, capsys, monkeypatch):
     assert main([path]) == 1
     assert "imaginary part" in capsys.readouterr().err
 
+
+
+_IDENTITY = {"kind": "identity", "order": 1}
+_CURVE = dict(level=2, genus_bar=1, pairs=1,
+              weights={"twisted": [[1, 0], [0, 1]], "ambient": [[1, 0, 0]]})
+
+# sha256 of the structured stdout, recorded before the batched character
+# kernel and the replayed orbits; residual floats included
+PINNED_STDOUT = (
+    (make_request(algebra={"type": "B", "rank": 4}, twist=_IDENTITY, level=3,
+                  computation="classical", genus_bar=1,
+                  weights={"ambient": [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 1]]}),
+     "73acdc276cb945267a404b680ce806dc1b5f6dd4219f4535305aecc67d3e2bbd"),
+    (make_request(algebra={"type": "G", "rank": 2}, twist=_IDENTITY, level=5,
+                  computation="classical", genus_bar=1,
+                  weights={"ambient": [[1, 0], [0, 1], [1, 1]]}),
+     "4c0dd72315a981fbb24f455a54c24dca08f729194f34f2a1b003eef8b9b4e8dd"),
+    (make_request(level=2, computation="fusion_table"),
+     "fbcad763e6375a974ef7eece10cf51531ba3b96208ee2f78baac5e0e12b330f7"),
+    (make_request(computation="general", **_CURVE),
+     "57e3247ae2830b9031dea0fb6b4265b11dd0ea219d4721faaf9a87e0e38d923b"),
+    (make_request(computation="factorized", **_CURVE),
+     "9da577242c4ff9c953f0248609286684575137ab499194fe2d963a5c10de8db4"),
+    (make_request(algebra={"type": "D", "rank": 4},
+                  twist={"kind": "diagram", "order": 3}, level=2),
+     "ecfd34bb81009a5778ca653701c94e340b8c2141d7f682a6e6d348537f0ee841"),
+)
+
+
+@pytest.mark.parametrize("doc, digest", PINNED_STDOUT,
+                         ids=[f"{d['computation']}-{d['algebra']['type']}{d['algebra']['rank']}"
+                              for d, _ in PINNED_STDOUT])
+def test_structured_stdout_is_pinned(doc, digest, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["-", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,8 @@
 import itertools
+import math
+import operator
 
+import numpy as np
 import pytest
 
 from twistblocks import (CurveRequest, InconsistentRamification,
@@ -10,8 +13,8 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import _PointTable, _table
-from oracles import STANDARD_ROWS, sl2_verlinde
+from twistblocks.dims import _WEIGHTSUM_DIM_CAP, _PointTable, _table
+from oracles import STANDARD_ROWS, signed_orbit_bfs, sl2_verlinde
 
 A1 = build_root_datum("A", 1)
 
@@ -316,6 +319,57 @@ def test_point_table_builds_ambient_exponents_when_read():
     chi = table.ambient_char((1, 0, 0))
     assert "ambient_y" in vars(table)
     assert chi == _table(data.ambient, "diagram2", 2).ambient_char((1, 0, 0))
+
+
+def _phase_count_sum(multiset, y):
+    """sum of m * e^{2 pi i (v . y.num) / y.den} over {v: m}, the phases
+    counted per residue in plain ints and finished by one fsum per part."""
+    counts = [0] * y.den
+    for v, m in multiset.items():
+        counts[sum(map(operator.mul, v, y.num)) % y.den] += m
+    table = np.exp(2j * np.pi * np.arange(y.den) / y.den)
+    return complex(math.fsum(c * z for c, z in zip(counts, table.real)),
+                   math.fsum(c * z for c, z in zip(counts, table.imag)))
+
+
+def _alternant_reference(rd, vec, ys):
+    orbit = signed_orbit_bfs(rd.cartan, vec)
+    return [_phase_count_sum(orbit, y) for y in ys]
+
+
+def _quotient_reference(rd, lam, ys, weyl_den):
+    num = _alternant_reference(rd, tuple(x + 1 for x in lam), ys)
+    return [n / d for n, d in zip(num, weyl_den)]
+
+
+IDENTITY_ROWS = (("A", 1, "identity"), ("A", 2, "identity"), ("B", 2, "identity"),
+                 ("C", 3, "identity"), ("G", 2, "identity"), ("D", 4, "identity"))
+
+
+def test_batched_characters_match_per_point_reference():
+    # one batched call per table gives, bit for bit, each point's own sum
+    for (t, r, kind) in STANDARD_ROWS + IDENTITY_ROWS:
+        data = tw(t, r, kind)
+        fixed, amb = data.fixed, data.ambient
+        for c in (1, 2, 3):
+            table = _PointTable(data, c)
+            weyl_den = _alternant_reference(fixed, fixed.rho, table.fixed_y)
+            for lam in weight_alphabet(data, c).members:
+                assert table.fixed_char(lam) == _quotient_reference(
+                    fixed, lam, table.fixed_y, weyl_den)
+            regular = [amb.point_is_regular(y) for y in table.ambient_y]
+            for nu in ambient_alphabet(data, c):
+                if amb.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
+                    assert table.ambient_char(nu) == [
+                        _phase_count_sum(amb.weight_system(nu), y)
+                        for y in table.ambient_y]
+                elif amb.weyl_order <= 1920:
+                    # quotient at the ambient-regular points; the E6 orbits
+                    # (|W| = 51840) are beyond the search oracle
+                    assert all(regular)
+                    assert table.ambient_char(nu) == _quotient_reference(
+                        amb, nu, table.ambient_y,
+                        _alternant_reference(amb, amb.rho, table.ambient_y))
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------

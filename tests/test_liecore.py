@@ -8,8 +8,8 @@ import pytest
 from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
                          build_root_datum)
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, kostka_numbers,
-                     number_of_roots_classical, roots_by_reflection,
-                     signed_orbit_bfs, weyl_order_classical)
+                     number_of_roots_classical, positive_coroots,
+                     roots_by_reflection, signed_orbit_bfs, weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -83,26 +83,39 @@ def test_weyl_order_matches_classical_table():
 
 
 def test_signed_orbit_rows_and_signs():
+    # every orbit but rho's replays the steps of rho's walk
     rng = random.Random(37)
+    more = random.Random(53)
     for t, r in SUPPORTED_TYPES:
         rd = build_root_datum(t, r)
         order = weyl_order_classical(t, r)
+        coroots = positive_coroots(rd.cartan)
         lam_rho = tuple(rng.randrange(1, 4) for _ in range(r))
-        for vec in (rd.rho, lam_rho):
+        vecs = [rd.rho, lam_rho]
+        if order <= 1920:
+            vecs += [tuple(more.randrange(1, 7) for _ in range(r)) for _ in range(3)]
+        for vec in vecs:
             orb, signs = rd.signed_orbit(vec)
             assert orb.dtype == np.int64 and signs.dtype == np.int8
             assert tuple(orb[0]) == vec
             assert len(orb) == len(signs) == order
             rows = np.ascontiguousarray(orb).view(np.dtype((np.void, 8 * r)))
             assert len(np.unique(rows)) == order
-            # (-1)^length, the length being the number of positive roots
+            # (-1)^length, the length being the number of positive coroots
             # the point pairs negatively with
-            neg = sum((orb @ cv < 0).astype(np.int64) for cv in rd.coroot_pairings)
+            neg = sum((orb @ np.array(d) < 0).astype(np.int64) for d in coroots)
             assert np.array_equal(signs, np.where(neg % 2, -1, 1))
             if order <= 1920:
                 got = {tuple(int(x) for x in row): int(s)
                        for row, s in zip(orb, signs)}
                 assert got == signed_orbit_bfs(rd.cartan, vec)
+
+
+def test_coroot_pairings_are_the_transposed_roots():
+    for t, r in SUPPORTED_TYPES:
+        rd = build_root_datum(t, r)
+        got = sorted(tuple(int(x) for x in cv) for cv in rd.coroot_pairings)
+        assert got == positive_coroots(rd.cartan)
 
 
 def test_weyl_dimension_examples():
