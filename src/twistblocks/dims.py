@@ -112,15 +112,12 @@ class _PointTable:
         return self.twist.fixed.weyl_denominators(self.fixed_y)
 
     @functools.cached_property
-    def ambient_regular(self):
-        """Indices of the points that are regular for the ambient algebra."""
-        rd = self.twist.ambient
-        return [k for k, y in enumerate(self.ambient_y) if rd.point_is_regular(y)]
-
-    @functools.cached_property
     def ambient_weyl_den(self):
-        return self.twist.ambient.weyl_denominators(
-            [self.ambient_y[k] for k in self.ambient_regular])
+        """{point index: Weyl denominator} over the ambient-regular points."""
+        rd = self.twist.ambient
+        regular = [k for k, y in enumerate(self.ambient_y) if rd.point_is_regular(y)]
+        return dict(zip(regular, rd.weyl_denominators(
+            [self.ambient_y[k] for k in regular])))
 
     @functools.cache
     def fixed_char(self, lam):
@@ -134,11 +131,11 @@ class _PointTable:
         if rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
             return rd.character_at_exponents(nu, ys, method="weights")
         # the quotient at the ambient-regular points, weight sums elsewhere
+        dens = self.ambient_weyl_den
         values = {}
-        regular = self.ambient_regular
-        if regular:
-            values.update(zip(regular, rd.character_at_exponents(
-                nu, [ys[k] for k in regular], weyl_den=self.ambient_weyl_den)))
+        if dens:
+            values = dict(zip(dens, rd.character_at_exponents(
+                nu, [ys[k] for k in dens], weyl_den=list(dens.values()))))
         singular = [k for k in range(len(ys)) if k not in values]
         if singular:
             values.update(zip(singular, rd.character_at_exponents(

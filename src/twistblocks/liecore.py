@@ -31,7 +31,8 @@ _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
 # numeric guard for character denominators, scaled by |W| (see module docs)
 _SINGULAR_TOL = 1e-8
 
-# phases held at once by one _phase_sums block (orbit rows x points)
+# orbit rows x points in one _phase_sums block: its int64 phases and float64
+# weights stay at 256 KiB each, well below an orbit walk's own temporaries
 _PHASE_BLOCK = 1 << 15
 
 _datum_cache = {}
@@ -343,6 +344,7 @@ class RootDatum:
             signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
                      for k, cur in enumerate(layers)]
             self._rho_orbit = np.vstack(layers), np.concatenate(signs)
+            # free the layers first: the packed parents then reuse their memory
             del layers
             # (reflection, block size) pairs, and every parent in one array
             self._rho_steps = ([(i, len(p)) for i, p in steps],
