@@ -357,19 +357,29 @@ def test_batched_characters_match_per_point_reference():
             for lam in weight_alphabet(data, c).members:
                 assert table.fixed_char(lam) == _quotient_reference(
                     fixed, lam, table.fixed_y, weyl_den)
-            regular = [amb.point_is_regular(y) for y in table.ambient_y]
             for nu in ambient_alphabet(data, c):
+                # above the cap only E6 weights at c = 3, beyond the search
+                # oracle; the next test covers the ambient quotient
                 if amb.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
                     assert table.ambient_char(nu) == [
                         _phase_count_sum(amb.weight_system(nu), y)
                         for y in table.ambient_y]
-                elif amb.weyl_order <= 1920:
-                    # quotient at the ambient-regular points; the E6 orbits
-                    # (|W| = 51840) are beyond the search oracle
-                    assert all(regular)
-                    assert table.ambient_char(nu) == _quotient_reference(
-                        amb, nu, table.ambient_y,
-                        _alternant_reference(amb, amb.rho, table.ambient_y))
+
+
+def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
+    # every ambient character through the quotient, where the oracle reaches
+    monkeypatch.setattr("twistblocks.dims._WEIGHTSUM_DIM_CAP", 0)
+    for (t, r, kind) in STANDARD_ROWS:
+        data = tw(t, r, kind)
+        amb = data.ambient
+        if amb.weyl_order > 1920:
+            continue
+        for c in (1, 2):
+            table = _PointTable(data, c)
+            weyl_den = _alternant_reference(amb, amb.rho, table.ambient_y)
+            for nu in ambient_alphabet(data, c):
+                assert table.ambient_char(nu) == _quotient_reference(
+                    amb, nu, table.ambient_y, weyl_den)
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------
