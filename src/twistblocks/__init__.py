@@ -16,8 +16,7 @@ from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
                      UnstableInput, UnsupportedCombination, UnsupportedType,
                      VerlindeError)
 from .kacwalton import KWLedger, euler_characteristic_report, kac_walton_dimension
-from .liecore import (Exponents, RootDatum, build_root_datum,
-                      character_value, tensor_multiplicities, weyl_dimension)
+from .liecore import Exponents, RootDatum, build_root_datum
 from .twist import (DIAGRAM2, DIAGRAM3, IDENTITY, STANDARD4, TwistData,
                     TwistKind, WeightSet, a2n_weight_bijection,
                     ambient_alphabet, branch_to_fixed, build_twist,

@@ -32,6 +32,11 @@ _KIND_BY_NAME = {("identity", 1): "identity", ("diagram", 2): "diagram2",
                  ("diagram", 3): "diagram3", ("standard", 4): "standard4"}
 
 
+def _is_int(x):
+    """A JSON integer: bool is an int subclass, but true/false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class Request:
     algebra_type: str
@@ -94,14 +99,14 @@ def parse_request(text):
             problems.append(f"{path}: {msg}")
         return cond
 
-    if need("version", isinstance(doc.get("version"), int), "required integer"):
+    if need("version", _is_int(doc.get("version")), "required integer"):
         need("version", doc["version"] == SCHEMA_VERSION,
              f"unsupported version {doc.get('version')}")
     alg = doc.get("algebra")
     ok_alg = need("algebra", isinstance(alg, dict), "required object")
     if ok_alg:
         need("algebra.type", isinstance(alg.get("type"), str), "required string")
-        need("algebra.rank", isinstance(alg.get("rank"), int), "required integer")
+        need("algebra.rank", _is_int(alg.get("rank")), "required integer")
     tw = doc.get("twist", {"kind": "identity", "order": 1})
     ok_tw = need("twist", isinstance(tw, dict), "must be an object")
     tag = None
@@ -109,11 +114,11 @@ def parse_request(text):
         kindname = tw.get("kind")
         order = tw.get("order")
         need("twist.kind", isinstance(kindname, str), "required string")
-        need("twist.order", isinstance(order, int), "required integer")
+        need("twist.order", _is_int(order), "required integer")
         tag = _KIND_BY_NAME.get((kindname, order))
         need("twist", tag is not None,
              f"unknown kind/order combination {kindname!r}/{order!r}")
-    need("level", isinstance(doc.get("level"), int) and doc.get("level", 0) >= 1,
+    need("level", _is_int(doc.get("level")) and doc["level"] >= 1,
          "required integer >= 1")
     comp = doc.get("computation")
     need("computation", comp in _COMPUTATIONS,
@@ -141,7 +146,7 @@ def parse_request(text):
         out = []
         for i, v in enumerate(raw):
             if not (isinstance(v, list) and len(v) == rank
-                    and all(isinstance(x, int) for x in v)):
+                    and all(_is_int(x) for x in v)):
                 problems.append(f"{path}[{i}]: expected {rank} integer coordinates")
             else:
                 out.append(tuple(v))
@@ -151,17 +156,18 @@ def parse_request(text):
     wa = vectors("ambient", rd.rank, "weights.ambient")
 
     genus_bar = doc.get("genus_bar", 0)
-    need("genus_bar", isinstance(genus_bar, int) and genus_bar >= 0,
+    need("genus_bar", _is_int(genus_bar) and genus_bar >= 0,
          "must be an integer >= 0")
     pairs = doc.get("pairs", len(wt) // 2)
-    need("pairs", isinstance(pairs, int) and pairs >= 0, "must be an integer >= 0")
+    need("pairs", _is_int(pairs) and pairs >= 0, "must be an integer >= 0")
 
     tol = opts.get("tolerance", 1e-5)
-    need("options.tolerance", isinstance(tol, (int, float)) and tol > 0,
+    need("options.tolerance",
+         isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
          "must be a positive number")
     # accepted for compatibility; rows always run one after another
     threads = opts.get("threads", 1)
-    need("options.threads", isinstance(threads, int) and threads >= 1,
+    need("options.threads", _is_int(threads) and threads >= 1,
          "must be an integer >= 1")
     fmt = opts.get("format", "table")
     need("options.format", fmt in ("table", "structured"),

@@ -12,7 +12,7 @@ from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
                      NotInAlphabet, UnstableInput)
 from .twist import ambient_alphabet, build_twist
-from .util import round_half_away, tree_sum
+from .util import memo, round_half_away, tree_sum
 
 _IMAG_TOL = 1e-7
 
@@ -119,12 +119,12 @@ class _PointTable:
         return dict(zip(regular, rd.weyl_denominators(
             [self.ambient_y[k] for k in regular])))
 
-    @functools.cache
+    @memo
     def fixed_char(self, lam):
         return self.twist.fixed.character_at_exponents(
             lam, self.fixed_y, weyl_den=self.fixed_weyl_den)
 
-    @functools.cache
+    @memo
     def ambient_char(self, nu):
         rd = self.twist.ambient
         ys = self.ambient_y
@@ -163,9 +163,9 @@ def _delta_from_exponents(rd, y, context):
     return total
 
 
-@functools.cache
-def _table(ambient, tag, c):
-    return _PointTable(build_twist(ambient, tag), c)
+@memo
+def _table(twist, c):
+    return _PointTable(twist, c)
 
 
 def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
@@ -200,9 +200,12 @@ def identity_twist(rd):
     return build_twist(rd, "identity")
 
 
-def _classical_raw(rd, c, g, weights):
-    """|T_c|^{g-1} sum over A_c of prod chi * Delta^{1-g}; no stability gate."""
-    table = _table(rd, "identity", c)
+def _classical_raw(tw, c, g, weights):
+    """|T_c|^{g-1} sum over A_c of prod chi * Delta^{1-g}; no stability gate.
+
+    tw is the identity twist of the ambient algebra.
+    """
+    table = _table(tw, c)
     total = _point_sum(table, fixed=weights, dexp=g - 1)
     return total * float(Fraction(table.enum.order_T) ** (g - 1))
 
@@ -218,7 +221,7 @@ def classical_verlinde(rd, c, g, weights):
                     for i, w in enumerate(weights))
     if g == 0 and len(weights) < 3:
         raise UnstableInput("genus 0 needs at least three insertions")
-    return _finalize(_classical_raw(rd, c, g, weights),
+    return _finalize(_classical_raw(tw, c, g, weights),
                      f"classical N_{g}{weights}")
 
 
@@ -232,7 +235,7 @@ def twisted_three_point(req):
     lam = _check_twisted(twist, c, req.lam, "lambda")
     mu = _check_twisted(twist, c, req.mu, "mu")
     nu = _check_ambient(twist, c, req.nu, "nu")
-    table = _table(twist.ambient, twist.kind.tag, c)
+    table = _table(twist, c)
     raw = _point_sum(table, fixed=(lam, mu), ambient=(nu,), a=1) \
         / table.enum.order_Tsigma
     return _finalize(raw, f"N(sigma;{lam},{mu},{nu})")
@@ -252,7 +255,7 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     mu = _check_twisted(twist, c, mu, "mu")
     # eta* = eta: weight_alphabet checks that once for all of D_{c,sigma}
     eta = _check_twisted(twist, c, eta, "eta")
-    table = _table(twist.ambient, twist.kind.tag, c)
+    table = _table(twist, c)
     raw = _point_sum(table, fixed=(lam, mu, eta), a=1) / table.enum.order_Tsigma
     return _finalize(raw, f"c^{eta}_{lam},{mu}", allow_negative=True)
 
@@ -291,9 +294,9 @@ def general_dimension(req):
     if a == 0:
         # no ramified pairs: the cover contributes nothing and the formula
         # degenerates to the classical sum over the full regular-class set
-        raw = _classical_raw(twist.ambient, c, gbar, mus)
+        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
         return _finalize(raw, f"N_({gbar},a=0){mus}")
-    table = _table(twist.ambient, twist.kind.tag, c)
+    table = _table(twist, c)
     dexp = gbar - 1 + a
     total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
     enum = table.enum
@@ -311,10 +314,11 @@ def factorized_dimension(req):
     twist, c, gbar = req.twist, req.level, req.genus_bar
     if a == 0:
         # empty product over pairs: plain classical Verlinde number
-        raw = _classical_raw(twist.ambient, c, gbar, mus)
+        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
         return _finalize(raw, f"factorized N_({gbar},a=0){mus}")
     dc = ambient_alphabet(twist, c)
     rd = twist.ambient
+    classical_tw = identity_twist(rd)
     # n3[k][i]: three-point number of pair k glued to the i-th weight of D_c
     n3 = [[twisted_three_point(ThreePointRequest(
                twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],
@@ -331,7 +335,8 @@ def factorized_dimension(req):
                 break
         if coeff == 0:
             continue
-        classical = _classical_raw(rd, c, gbar, mus + tuple(duals[i] for i in idx))
+        classical = _classical_raw(classical_tw, c, gbar,
+                                   mus + tuple(duals[i] for i in idx))
         total += coeff * classical
     return _finalize(total, f"factorized N_({gbar},a={a})")
 

@@ -3,14 +3,14 @@ affine alcove folding.  Independent of the torus-point sums in dims; the
 two must agree, and that agreement is the package's main consistency
 check."""
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .alcove import fold_to_alcove
 from .dims import _check_ambient, _check_twisted
 from .errors import NotInAlphabet
-from .twist import branch_to_fixed, build_twist
+from .twist import branch_to_fixed
+from .util import memo
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,14 @@ def _validated(req):
     return twist, c, lam, mu, nu
 
 
-@functools.cache
-def _folded(ambient, tag, c, mu, nu):
+@memo
+def _folded(twist, c, mu, nu):
     """Sorted (kappa, multiplicity, fold) over the constituents kappa of
     V(mu) (x) Res V(nu), each folded into the level-c alcove.
 
     Nothing here depends on lambda, so one decomposition serves every row
-    with this (mu, nu).  Keyed by (ambient, tag) since TwistData is not
-    hashable.
+    with this (mu, nu).
     """
-    twist = build_twist(ambient, tag)
     tensor = {}
     for eta_b, b in branch_to_fixed(twist, nu).items():
         for kappa, m in twist.fixed.tensor_multiplicities(mu, eta_b).items():
@@ -68,7 +66,7 @@ def kac_walton_dimension(req):
     twist, c, lam, mu, nu = _validated(req)
     contributions = []
     total = 0
-    for kappa, m, fold in _folded(twist.ambient, twist.kind.tag, c, mu, nu):
+    for kappa, m, fold in _folded(twist, c, mu, nu):
         matched = fold.status != "wall" and fold.weight == lam
         if matched:
             total += fold.sign * m

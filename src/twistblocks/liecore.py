@@ -15,14 +15,13 @@ Conventions used throughout the package
 """
 
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonDominant, SingularPoint, UnsupportedType
-from .util import fraction_lcm_den, rational_inverse
+from .util import fraction_lcm_den, memo, rational_inverse
 
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
@@ -34,9 +33,6 @@ _SINGULAR_TOL = 1e-8
 # orbit rows x points in one _phase_sums block: its int64 phases and float64
 # weights stay at 256 KiB each, well below an orbit walk's own temporaries
 _PHASE_BLOCK = 1 << 15
-
-_datum_cache = {}
-_datum_lock = threading.Lock()
 
 
 def _cartan_matrix(lie_type, rank):
@@ -82,8 +78,9 @@ class Exponents(NamedTuple):
 class RootDatum:
     """Immutable simple root system with cached multiplicity data.
 
-    All mutating state is confined to internal caches guarded by a lock,
-    so instances are safe to share between worker threads.
+    Instances hash by identity; their orbits, weight systems and tensor
+    products are held in util.memo tables keyed by the instance, so one
+    instance is safe to share between threads.
     """
 
     def __init__(self, lie_type, rank):
@@ -116,14 +113,6 @@ class RootDatum:
 
         self._build_roots()
         self._build_theta_data()
-
-        self._lock = threading.Lock()
-        self._orbit_cache = {}
-        self._weights_cache = {}
-        self._tensor_cache = {}
-        # rho's signed orbit and the (reflection, parent rows) steps of its walk
-        self._rho_orbit = None
-        self._rho_steps = None
 
     # -- static data -------------------------------------------------
 
@@ -291,23 +280,17 @@ class RootDatum:
 
     @property
     def weyl_order(self):
-        with self._lock:
-            return len(self._walk_rho()[0])
+        return len(self._walk_rho()[0])
 
     def signed_orbit(self, vec):
         """Weyl orbit of a strictly dominant vector with (-1)^length signs.
 
         Returns (orbit matrix K x rank int64, signs K int8); row 0 is vec.
         """
-        key = tuple(int(x) for x in vec)
-        with self._lock:
-            hit = self._orbit_cache.get(key)
-            if hit is None:
-                hit = self._signed_orbit_nolock(key)
-                self._orbit_cache[key] = hit
-            return hit
+        return self._signed_orbit(tuple(int(x) for x in vec))
 
-    def _signed_orbit_nolock(self, key):
+    @memo
+    def _signed_orbit(self, key):
         """Replay rho's walk on key.
 
         Each step of the walk of a regular dominant x applies s_i to rows
@@ -319,11 +302,10 @@ class RootDatum:
         """
         if any(x <= 0 for x in key):
             raise ValueError("signed_orbit needs a strictly dominant vector")
-        orbit, signs = self._walk_rho()
+        orbit, signs, blocks, parents = self._walk_rho()
         if key == self.rho:
             return orbit, signs
         a = self.cartan
-        blocks, parents = self._rho_steps
         out = np.empty_like(orbit)
         out[0] = key
         pos = 1
@@ -335,21 +317,21 @@ class RootDatum:
             pos += m
         return out, signs
 
+    @memo
     def _walk_rho(self):
-        """rho's signed orbit, walked once, and the steps of that walk."""
-        if self._rho_orbit is None:
-            steps = []
-            layers = self._orbit_layers(np.array([self.rho], dtype=np.int64), steps)
-            # for regular x the layer index is the length of w in w.x
-            signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
-                     for k, cur in enumerate(layers)]
-            self._rho_orbit = np.vstack(layers), np.concatenate(signs)
-            # free the layers first: the packed parents then reuse their memory
-            del layers
-            # (reflection, block size) pairs, and every parent in one array
-            self._rho_steps = ([(i, len(p)) for i, p in steps],
-                               np.concatenate([p for _, p in steps]).astype(np.int32))
-        return self._rho_orbit
+        """rho's signed orbit, walked once, and the steps of that walk:
+        (orbit, signs, (reflection, block size) pairs, every parent row in
+        one array)."""
+        steps = []
+        layers = self._orbit_layers(np.array([self.rho], dtype=np.int64), steps)
+        # for regular x the layer index is the length of w in w.x
+        signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
+                 for k, cur in enumerate(layers)]
+        orbit, signs = np.vstack(layers), np.concatenate(signs)
+        # free the layers first: the packed parents then reuse their memory
+        del layers
+        return (orbit, signs, [(i, len(p)) for i, p in steps],
+                np.concatenate([p for _, p in steps]).astype(np.int32))
 
     def _orbit_layers(self, cur, steps=None):
         """The Weyl orbits of the dominant rows of cur, layer by layer.
@@ -406,22 +388,22 @@ class RootDatum:
         """
         key = tuple(int(x) for x in weight)
         self._require_dominant(key)
-        with self._lock:
-            hit = self._weights_cache.get(key)
-        if hit is None:
-            vecs, mults = self._weight_system_uncached(key)
-            ws = dict(zip(map(tuple, vecs.tolist()), mults.tolist()))
-            with self._lock:
-                hit = self._weights_cache.setdefault(key, (ws, vecs, mults))
-        return hit[0]
+        return self._weights(key)[0]
 
     def _weight_arrays(self, weight):
         """The weights of V(lambda) as int64 rows, with their multiplicities
         as an int64 vector, in the order of weight_system(lambda)."""
         key = tuple(int(x) for x in weight)
-        self.weight_system(key)    # builds the arrays on a miss
-        with self._lock:
-            return self._weights_cache[key][1:]
+        # through the public layer: it checks dominance, and it is the call
+        # bench/tracer.py counts
+        self.weight_system(key)
+        return self._weights(key)[1:]
+
+    @memo
+    def _weights(self, key):
+        """(weight_system dict, weight rows, multiplicities) of V(key)."""
+        vecs, mults = self._weight_system_uncached(key)
+        return dict(zip(map(tuple, vecs.tolist()), mults.tolist())), vecs, mults
 
     def _weight_system_uncached(self, lam):
         def pairing_vector(v):
@@ -513,22 +495,19 @@ class RootDatum:
         """V(lam) (x) V(mu) as a map {nu: multiplicity}.
 
         Klimyk runs over the weights of whichever factor has fewer of them;
-        the result is cached per pair, and a copy is returned.
+        the result is cached per unordered pair, and a copy is returned.
         """
         lam = tuple(int(x) for x in lam)
         mu = tuple(int(x) for x in mu)
         self._require_dominant(lam)
         self._require_dominant(mu)
-        key = min((lam, mu), (mu, lam))
-        with self._lock:
-            hit = self._tensor_cache.get(key)
-        if hit is None:
-            if len(self.weight_system(lam)) < len(self.weight_system(mu)):
-                lam, mu = mu, lam
-            hit = self.tensor_with_character(lam, self.weight_system(mu))
-            with self._lock:
-                hit = self._tensor_cache.setdefault(key, hit)
-        return dict(hit)
+        return dict(self._tensor(*sorted((lam, mu))))
+
+    @memo
+    def _tensor(self, lam, mu):
+        if len(self.weight_system(lam)) < len(self.weight_system(mu)):
+            lam, mu = mu, lam
+        return self.tensor_with_character(lam, self.weight_system(mu))
 
     # -- characters -------------------------------------------------------
 
@@ -618,37 +597,12 @@ def _phase_sums(rows, weights, ys):
     return out
 
 
-_unity_cache = {}
-_unity_lock = threading.Lock()
-
-
+@memo
 def _roots_of_unity(d):
-    with _unity_lock:
-        tab = _unity_cache.get(d)
-        if tab is None:
-            tab = np.exp(2j * np.pi * np.arange(d) / d)
-            _unity_cache[d] = tab
-        return tab
+    return np.exp(2j * np.pi * np.arange(d) / d)
 
 
+@memo
 def build_root_datum(lie_type, rank):
     """Construct (or fetch the cached) RootDatum for a supported type."""
-    key = (lie_type, rank)
-    with _datum_lock:
-        rd = _datum_cache.get(key)
-        if rd is None:
-            rd = RootDatum(lie_type, rank)
-            _datum_cache[key] = rd
-        return rd
-
-
-def weyl_dimension(rd, weight):
-    return rd.weyl_dimension(weight)
-
-
-def tensor_multiplicities(rd, lam, mu):
-    return rd.tensor_multiplicities(lam, mu)
-
-
-def character_value(rd, lam, xi):
-    return rd.character_value(lam, xi)
+    return RootDatum(lie_type, rank)

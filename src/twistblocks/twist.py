@@ -1,16 +1,14 @@
 """Automorphism layer: diagram/standard automorphisms, fixed subalgebras,
 weight restriction and branching, twisted level alphabets."""
 
-import functools
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet, UnsupportedCombination
 from .liecore import Exponents, RootDatum, build_root_datum
-from .util import fraction_lcm_den, rational_inverse, smith_normal_form, solve_rational
+from .util import fraction_lcm_den, memo, rational_inverse, smith_normal_form, solve_rational
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,13 @@ def _row_lattice_basis(rows):
     return [tuple(cols[i][j] for i in range(n)) for j in range(n)]
 
 
-@dataclass
+@dataclass(eq=False)
 class TwistData:
-    """All fixed-subalgebra data attached to a standard (or special) twist."""
+    """All fixed-subalgebra data attached to a standard (or special) twist.
+
+    Hashes by identity: build_twist makes one per (ambient, kind), and the
+    caches downstream are keyed by that instance.
+    """
     ambient: RootDatum
     kind: TwistKind
     fixed: RootDatum
@@ -101,8 +103,6 @@ class TwistData:
     level_marks: tuple                    # (lambda, theta^vee_sigma) = level_marks . lambda
     a0: int
     is_standard: bool
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _branch_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self):
@@ -149,31 +149,21 @@ def _coroot_coords_of_dual(rd, root):
     return tuple(int(x) for x in coords)
 
 
-_twist_cache = {}
-_twist_lock = threading.Lock()
-
-
 def build_twist(ambient, kind):
     """Assemble TwistData for a legal (ambient, kind) pair.
 
-    Instances are cached per (ambient, kind) so downstream caches (branching,
-    character values at torus points) are shared.  The fixed Cartan matrix is
-    recomputed from the node orbits and checked against the table row, so a
-    labeling mistake cannot pass silently.
+    Instances are cached per (ambient instance, kind) so downstream caches
+    (branching, character values at torus points) are shared.  The fixed
+    Cartan matrix is recomputed from the node orbits and checked against the
+    table row, so a labeling mistake cannot pass silently.
     """
     if isinstance(kind, str):
         kind = twist_kind(kind)
-    key = (ambient.lie_type, ambient.rank, kind.tag)
-    with _twist_lock:
-        hit = _twist_cache.get(key)
-    if hit is not None:
-        return hit
-    data = _build_twist_uncached(ambient, kind)
-    with _twist_lock:
-        return _twist_cache.setdefault(key, data)
+    return _twist(ambient, kind)
 
 
-def _build_twist_uncached(ambient, kind):
+@memo
+def _twist(ambient, kind):
     if kind.tag == "identity":
         return _identity_twist(ambient)
 
@@ -285,16 +275,14 @@ def weight_alphabet(twist, c):
     if c < 0:
         raise ValueError("level must be >= 0")
     twist._require_standard("the level alphabet")
-    return _alphabet(twist.ambient, twist.kind.tag, c)
+    return _alphabet(twist, c)
 
 
-@functools.cache
-def _alphabet(ambient, tag, c):
-    """weight_alphabet, built once per (ambient, tag, c); keyed like
-    dims._table, since TwistData is not hashable."""
-    twist = build_twist(ambient, tag)
+@memo
+def _alphabet(twist, c):
+    """weight_alphabet, built once per (twist, c)."""
     members = _bounded_lex([int(m) for m in twist.level_marks], c)
-    if tag != "identity":
+    if twist.kind.tag != "identity":
         for lam in members:
             assert twist.fixed.dual_weight(lam) == lam, \
                 "twisted alphabet members must be self-dual"
@@ -317,17 +305,14 @@ def branch_to_fixed(twist, nu):
     nu = tuple(int(x) for x in nu)
     if not twist.ambient.is_dominant(nu):
         raise NonDominant(f"{nu} is not dominant for {twist.ambient}")
-    with twist._lock:
-        hit = twist._branch_cache.get(nu)
-    if hit is not None:
-        return dict(hit)
+    return dict(_branch(twist, nu))
+
+
+@memo
+def _branch(twist, nu):
     if twist.kind.tag == "identity":
-        out = {nu: 1}
-    else:
-        out = _branch_uncached(twist, nu)
-    with twist._lock:
-        twist._branch_cache[nu] = dict(out)
-    return out
+        return {nu: 1}
+    return _branch_uncached(twist, nu)
 
 
 def _branch_uncached(twist, nu):

@@ -1,8 +1,33 @@
 """Small exact-arithmetic helpers: rational linear algebra, Smith normal form,
-deterministic summation."""
+deterministic summation, and the package's one cache idiom."""
 
+import functools
+import threading
 from fractions import Fraction
 from math import gcd
+
+
+def memo(fn):
+    """Cache fn by its positional arguments, process-wide.
+
+    A miss computes outside the lock and stores with setdefault, so racing
+    callers all get the first stored value: one object per key, which the
+    identity-keyed tables downstream rely on.  The table is ``.cache``.
+    """
+    cache = {}
+    lock = threading.Lock()
+
+    @functools.wraps(fn)
+    def cached(*args):
+        hit = cache.get(args)
+        if hit is None:
+            value = fn(*args)
+            with lock:
+                hit = cache.setdefault(args, value)
+        return hit
+
+    cached.cache = cache
+    return cached
 
 
 def rational_inverse(mat):
@@ -50,8 +75,8 @@ def fraction_lcm_den(xs):
 def tree_sum(values):
     """Pairwise (tree) accumulation of complex values.
 
-    Result depends only on the input order, never on chunking; keeps the
-    Verlinde point sums reproducible across thread counts.
+    The result depends only on the input order, so the Verlinde point sums
+    are reproducible bit for bit.
     """
     xs = list(values)
     if not xs:

@@ -105,7 +105,7 @@ def test_acceptance_4_orthogonality():
         rd = build_root_datum(t, r)
         data = tw(t, r, "identity")
         for c in (1, 2, 3):
-            table = _table(rd, "identity", c)
+            table = _table(data, c)
             enum, chi, delta = table.enum, table.fixed_char, table.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:

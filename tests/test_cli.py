@@ -178,6 +178,29 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad.write_text(json.dumps(make_request(options={"threads": 0})))
     assert main([str(bad)]) == 2
     capsys.readouterr()
+
+    # JSON true/false are not numbers in any integer or tolerance slot
+    three = {"computation": "three_point",
+             "weights": {"twisted": [[0, 0], [0, 0]], "ambient": [[0, 0, 0]]}}
+    for doc in (make_request(version=True),
+                make_request(algebra={"type": "A", "rank": True}),
+                make_request(twist={"kind": "identity", "order": True},
+                             computation="classical"),
+                make_request(level=True),
+                make_request(genus_bar=False),
+                make_request(pairs=False),
+                make_request(options={"threads": True}),
+                make_request(options={"tolerance": True}),
+                make_request(**{**three, "weights": {"twisted": [[0, False], [0, 0]],
+                                                     "ambient": [[0, 0, 0]]}}),
+                make_request(**{**three, "weights": {"twisted": [[0, 0], [0, 0]],
+                                                     "ambient": [[0, 0, False]]}})):
+        bad.write_text(json.dumps(doc))
+        assert main([str(bad)]) == 2, doc
+        assert "error:" in capsys.readouterr().err
+    bad.write_text(json.dumps(make_request(**three)))
+    assert main([str(bad)]) == 0     # the same request with integers passes
+    capsys.readouterr()
     assert main([str(path), "--threads", "3"]) == 0
     capsys.readouterr()
 

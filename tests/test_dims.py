@@ -75,7 +75,7 @@ def test_untwisted_orthogonality_both_forms():
         rd = build_root_datum(t, r)
         data = build_twist(rd, "identity")
         for c in (1, 2, 3):
-            table = _table(rd, "identity", c)
+            table = _table(data, c)
             enum, chi, delta = table.enum, table.fixed_char, table.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:
@@ -318,7 +318,7 @@ def test_point_table_builds_ambient_exponents_when_read():
     assert "ambient_y" not in vars(table)
     chi = table.ambient_char((1, 0, 0))
     assert "ambient_y" in vars(table)
-    assert chi == _table(data.ambient, "diagram2", 2).ambient_char((1, 0, 0))
+    assert chi == _table(data, 2).ambient_char((1, 0, 0))
 
 
 def _phase_count_sum(multiset, y):

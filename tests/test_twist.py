@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistblocks import (IllegalPair, NonDominant, NotInAlphabet,
+from twistblocks import (IllegalPair, NonDominant, NotInAlphabet, RootDatum,
                          UnsupportedCombination, a2n_weight_bijection,
                          branch_to_fixed, build_root_datum, build_twist,
                          enumerate_sigma_c, twist_kind, weight_alphabet)
@@ -184,6 +184,17 @@ def test_branch_aborts_on_corrupted_character(monkeypatch):
                     _branch_uncached(data, nu)
         monkeypatch.undo()
         assert _branch_uncached(data, nu) == branch_to_fixed(data, nu)
+
+
+def test_build_twist_is_one_instance_per_ambient_instance():
+    shared = build_root_datum("A", 3)
+    private = RootDatum("A", 3)
+    for kind in ("identity", "diagram2"):
+        data = build_twist(private, kind)
+        assert data.ambient is private
+        assert build_twist(private, twist_kind(kind)) is data
+        assert tw("A", 3, kind).ambient is shared
+        assert tw("A", 3, kind) is not data
 
 
 def test_alphabet_examples():
