@@ -6,10 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .twist import TwistData, weight_alphabet, _bounded_lex
-from .util import dual_lattice_basis, lattice_index
+from .twist import TwistData, build_twist, weight_alphabet, _bounded_lex
+from .util import integer_determinant
 
 # defensive bound on the theta reflections of a fold; the affine action is
 # proper, so this only guards against corrupted inputs
@@ -41,45 +39,22 @@ class FoldResult:
     length_parity: int = 0
 
 
-def _coroot_basis_columns(rd):
-    """Coroot lattice basis in coweight coordinates (columns)."""
-    n = rd.rank
-    return [[int(rd.cartan[j][i]) for j in range(n)] for i in range(n)]
-
-
-def _long_dual_basis_columns(rd):
-    """Basis of the dual lattice of the long-root span, coweight coords."""
-    longs = [list(map(int, r)) for r in rd.positive_roots_alpha
-             if rd.form_value(rd.cartan @ np.array(r), rd.cartan @ np.array(r)) == 2]
-    return dual_lattice_basis(longs)
-
-
 def lattice_orders(twist, c):
     """(|T_c|, |T_c^sigma|) at level c.
 
-    |T_c| = [dual(Q_lg) : (c+h^vee) Q^vee] on the ambient algebra; for the
-    simply-laced ambients of every twisted row this is |P^vee/(c+h)Q^vee|.
-    |T_c^sigma| = |P_sigma / (c+h^vee) M|.  Both via Smith normal form.
+    |T_c^sigma| = |P_sigma / (c+h^vee) M| = (c+h^vee)^rank |det M|, with the
+    basis vectors of M in fixed-weight coordinates.  |T_c| is the same order
+    for the identity twist of the ambient algebra, whose M = nu(Q^vee) is
+    spanned by the long roots.
     """
     if c < 1:
         raise ValueError("level must be >= 1")
-    n_amb = twist.ambient.rank
     nshift = twist.shifted_level(c)
 
-    dual_cols = _long_dual_basis_columns(twist.ambient)
-    coroot_cols = _coroot_basis_columns(twist.ambient)
-    sub = [[nshift * coroot_cols[i][j] for j in range(n_amb)] for i in range(n_amb)]
-    order_t = lattice_index(dual_cols, sub)
+    def order(data):
+        return nshift ** data.fixed.rank * abs(integer_determinant(data.lattice_M))
 
-    if twist.kind.tag == "identity":
-        order_ts = order_t
-    else:
-        nf = twist.fixed.rank
-        eye = [[int(i == j) for j in range(nf)] for i in range(nf)]
-        mcols = [[nshift * int(twist.lattice_M[j][i]) for j in range(nf)]
-                 for i in range(nf)]
-        order_ts = lattice_index(eye, mcols)
-    return order_t, order_ts
+    return order(build_twist(twist.ambient, "identity")), order(twist)
 
 
 def _points(twist, c):

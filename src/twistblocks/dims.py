@@ -65,6 +65,8 @@ def _finalize(raw, context, allow_negative=False):
     (the CLI checks every row against the request's).
     """
     raw = complex(raw)
+    if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
+        raise IntegralityError(f"{context}: raw value {raw} is not finite")
     if abs(raw.imag) > _IMAG_TOL:
         raise IntegralityError(f"{context}: imaginary part {raw.imag:.3e} "
                                f"exceeds {_IMAG_TOL}")
@@ -178,19 +180,30 @@ def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
     """
     columns = ([table.fixed_char(lam) for lam in fixed]
                + [table.ambient_char(nu) for nu in ambient])
-    ds = table.delta_sigma if a else None
-    d = table.delta if dexp else None
+    try:
+        ds = [x ** a for x in table.delta_sigma] if a else None
+        d = [x ** (-dexp) for x in table.delta] if dexp else None
+    except OverflowError:
+        raise IntegralityError("a point-sum Delta power exceeds the float range") from None
     terms = []
     for k in range(len(table.enum.points)):
         term = complex(1.0)
         for col in columns:
             term *= col[k]
         if a:
-            term *= ds[k] ** a
+            term *= ds[k]
         if dexp:
-            term *= d[k] ** (-dexp)
+            term *= d[k]
         terms.append(term)
     return tree_sum(terms)
+
+
+def _as_float(x, what):
+    """float(x), or IntegralityError past the float range: no dimension is rounded there."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise IntegralityError(f"{what} exceeds the float range") from None
 
 
 # -- the formulas ----------------------------------------------------------
@@ -207,7 +220,7 @@ def _classical_raw(tw, c, g, weights):
     """
     table = _table(tw, c)
     total = _point_sum(table, fixed=weights, dexp=g - 1)
-    return total * float(Fraction(table.enum.order_T) ** (g - 1))
+    return total * _as_float(Fraction(table.enum.order_T) ** (g - 1), f"|T_c|^{g - 1}")
 
 
 def classical_verlinde(rd, c, g, weights):
@@ -300,8 +313,9 @@ def general_dimension(req):
     dexp = gbar - 1 + a
     total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
     enum = table.enum
-    factor = Fraction(enum.order_T) ** dexp / Fraction(enum.order_Tsigma) ** a
-    return _finalize(total * float(factor), f"N_({gbar},a={a}){lams}{mus}")
+    factor = _as_float(Fraction(enum.order_T) ** dexp / Fraction(enum.order_Tsigma) ** a,
+                       f"|T_c|^{dexp} / |T_c^sigma|^{a}")
+    return _finalize(total * factor, f"N_({gbar},a={a}){lams}{mus}")
 
 
 def factorized_dimension(req):

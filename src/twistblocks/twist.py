@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet, UnsupportedCombination
 from .liecore import Exponents, RootDatum, build_root_datum
-from .util import fraction_lcm_den, memo, rational_inverse, smith_normal_form, solve_rational
+from .util import fraction_lcm_den, memo
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,6 @@ def _fixed_datum(fixed_type, fixed_rank):
     return build_root_datum(fixed_type, fixed_rank)
 
 
-def _row_lattice_basis(rows):
-    """Integer basis (as columns) of the lattice spanned by the given rows."""
-    divisors, _, v = smith_normal_form([list(map(int, r)) for r in rows])
-    n = len(rows[0])
-    vinv = rational_inverse(v)
-    cols = []
-    for i in range(n):
-        col = [divisors[i] * vinv[i][j] for j in range(n)]
-        assert all(x.denominator == 1 for x in col)
-        cols.append(tuple(int(x) for x in col))
-    # transpose: each basis vector is a row of D V^{-1}; return as columns
-    return [tuple(cols[i][j] for i in range(n)) for j in range(n)]
-
-
 @dataclass(eq=False)
 class TwistData:
     """All fixed-subalgebra data attached to a standard (or special) twist.
@@ -97,7 +83,8 @@ class TwistData:
     kind: TwistKind
     fixed: RootDatum
     restriction_matrix: np.ndarray        # fixed-weight coords of a restricted ambient weight
-    lattice_M: tuple                      # basis of the translation lattice M, columns
+    lattice_M: tuple                      # basis vectors of the translation lattice M in
+                                          # fixed-weight coords; nu(Q^vee) for the identity
     theta_sigma: tuple                    # weight of the fixed algebra
     theta_check_sigma: tuple              # coweight coords of theta^vee_sigma
     level_marks: tuple                    # (lambda, theta^vee_sigma) = level_marks . lambda
@@ -137,16 +124,9 @@ class TwistData:
 
 
 def _coroot_coords_of_dual(rd, root):
-    """Simple-coroot coordinates of root^vee for a root of rd."""
-    nrm = rd.form_value(root, root)
-    # coweight coordinates of root^vee: alpha_i(root^vee) = 2<alpha_i, root>/<root, root>
-    mvec = []
-    for i in range(rd.rank):
-        alpha_i = tuple(int(x) for x in rd.cartan[:, i])
-        mvec.append(2 * rd.form_value(alpha_i, root) / nrm)
-    coords = solve_rational([list(r) for r in rd.cartan.T], mvec)
-    assert all(x.denominator == 1 for x in coords)
-    return tuple(int(x) for x in coords)
+    """Simple-coroot coordinates of root^vee for a positive root of rd."""
+    k = rd.positive_roots.tolist().index(list(root))
+    return tuple(int(x) for x in rd.coroot_pairings[k])
 
 
 def build_twist(ambient, kind):
@@ -215,23 +195,22 @@ def _twist(ambient, kind):
                      level_marks=marks, a0=a0, is_standard=standard)
 
 
-def _long_root_lattice_columns(rd):
-    longs = [tuple(int(x) for x in r) for r in rd.positive_roots
-             if rd.form_value(r, r) == 2]
-    return _row_lattice_basis(longs)
-
-
 def _identity_twist(ambient):
     n = ambient.rank
     eye = np.eye(n, dtype=np.int64)
     marks = ambient.dual_marks
     theta_check = tuple(int(sum(m * int(ambient.cartan[i][j]) for i, m in enumerate(marks)))
                         for j in range(n))
-    # translation lattice of the classical torus: span of the long roots
-    lattice = tuple(_long_root_lattice_columns(ambient))
+    # translation lattice of the classical torus: nu(Q^vee), the span of the
+    # long roots, with basis nu(alpha_j^vee) = alpha_j / d_j
+    lattice = []
+    for alpha, d in zip(ambient.simple_roots, ambient._sym):
+        v = [x / d for x in alpha]
+        assert all(x.denominator == 1 for x in v)
+        lattice.append(tuple(int(x) for x in v))
     assert sum(marks) == ambient.dual_coxeter - 1
     return TwistData(ambient=ambient, kind=IDENTITY, fixed=ambient,
-                     restriction_matrix=eye, lattice_M=lattice,
+                     restriction_matrix=eye, lattice_M=tuple(lattice),
                      theta_sigma=ambient.highest_root, theta_check_sigma=theta_check,
                      level_marks=marks, a0=1, is_standard=True)
 

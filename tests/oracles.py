@@ -124,23 +124,41 @@ def signed_orbit_bfs(cartan, vec):
     return signs
 
 
-def roots_by_reflection(cartan):
-    """All roots, as weight tuples: the simple roots (Cartan columns) closed
-    under the simple reflections v -> v - v[i] * (column i)."""
+def orbit_by_reflection(cartan, seeds):
+    """The weight tuples seeds closed under the simple reflections
+    v -> v - v[i] * (column i of the Cartan matrix)."""
     a = [[int(x) for x in row] for row in cartan]
     n = len(a)
-    roots = {tuple(a[k][j] for k in range(n)) for j in range(n)}
-    frontier = list(roots)
+    found = {tuple(int(x) for x in v) for v in seeds}
+    frontier = list(found)
     while frontier:
         nxt = []
         for v in frontier:
             for i in range(n):
                 w = tuple(v[k] - v[i] * a[k][i] for k in range(n))
-                if w not in roots:
-                    roots.add(w)
+                if w not in found:
+                    found.add(w)
                     nxt.append(w)
         frontier = nxt
-    return roots
+    return found
+
+
+def roots_by_reflection(cartan):
+    """All roots, as weight tuples: the simple roots (Cartan columns) closed
+    under the simple reflections."""
+    n = len(cartan)
+    return orbit_by_reflection(cartan, [[cartan[k][j] for k in range(n)]
+                                        for j in range(n)])
+
+
+def long_roots(cartan):
+    """The long roots, as weight tuples: the Weyl orbit of the highest root,
+    the dominant root of largest height (simple-root coordinates are
+    cartan^{-1} applied to the weight coordinates)."""
+    inv = Matrix([[int(x) for x in row] for row in cartan]).inv()
+    dominant = [v for v in roots_by_reflection(cartan) if min(v) >= 0]
+    theta = max(dominant, key=lambda v: sum(inv * Matrix(v)))
+    return orbit_by_reflection(cartan, [theta])
 
 
 def positive_coroots(cartan):

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from sympy import Matrix
 
 from twistblocks import (build_root_datum, build_twist, enumerate_sigma_c,
                          fold_to_alcove, lattice_orders, weight_alphabet)
-from twistblocks.util import solve_rational
-from oracles import STANDARD_ROWS, quotient_order, sl2_admissible
+from twistblocks.util import integer_determinant, solve_rational
+from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, dual_coxeter_classical,
+                     long_roots, quotient_order, sl2_admissible)
 
 
 def tw(t, r, kind):
@@ -20,35 +22,35 @@ def test_lattice_orders_a1_examples():
 
 
 def test_lattice_orders_snf_oracle():
-    # simply laced: |T_c| = |P_check/(c+h)Q_check|, computed independently
-    # from the Smith form of (c+h) * cartan columns in coweight coordinates
-    for (t, r) in [("A", 1), ("A", 2), ("A", 3), ("D", 4)]:
-        rd = build_root_datum(t, r)
-        data = tw(t, r, "identity")
+    # |T_c| = |P / (c+h) Q_long| in weight coordinates, from sympy's Smith
+    # form of (c+h) times the long roots, found as the Weyl orbit of the
+    # highest root; on every identity row and the ambient of every standard row
+    rows = ([tw(t, r, "identity") for t, r in SUPPORTED_TYPES]
+            + [tw(t, r, kind) for t, r, kind in STANDARD_ROWS])
+    for data in rows:
+        rd = data.ambient
+        longs = sorted(long_roots(rd.cartan))
+        if data.kind.tag == "identity":
+            # adding the basis of M to the long roots keeps their index in P,
+            # so M lies in the long-root lattice
+            with_m = longs + list(data.lattice_M)
+            assert quotient_order([[v[i] for v in with_m] for i in range(rd.rank)]) \
+                == quotient_order([[v[i] for v in longs] for i in range(rd.rank)]), rd
+        h = dual_coxeter_classical(rd.lie_type, rd.rank)
         for c in (1, 2, 3):
-            n = c + rd.dual_coxeter
-            cols = (n * rd.cartan.T).tolist()
-            assert lattice_orders(data, c)[0] == quotient_order(cols)
+            cols = [[(c + h) * v[i] for v in longs] for i in range(rd.rank)]
+            assert lattice_orders(data, c)[0] == quotient_order(cols), (rd, c)
 
 
-def test_smith_normal_form_against_sympy():
-    from twistblocks.util import smith_normal_form
-    from oracles import snf_divisors
+def test_integer_determinant_against_sympy():
     rng = random.Random(13)
     for _ in range(60):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(n, 5)
-        mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        divisors, u, v = smith_normal_form(mat)
-        want = snf_divisors(mat)
-        got = sorted(d for d in divisors if d)
-        assert got == want, (mat, got, want)
-        # check the transform identity U A V = D on a full example
-        prod = np.array(u) @ np.array(mat) @ np.array(v)
-        diag = np.zeros_like(prod)
-        for i, d in enumerate(divisors):
-            diag[i, i] = d if prod[i, i] >= 0 else -d
-        assert (np.abs(prod) == np.abs(diag)).all()
+        n = rng.randrange(1, 6)
+        mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:          # singular, or a zero leading pivot
+            mat[rng.randrange(n)] = [0] * n if rng.random() < 0.5 else mat[0]
+        assert integer_determinant(mat) == Matrix(mat).det(), mat
+    assert integer_determinant([[0, 1], [1, 0]]) == -1
 
 
 def test_lattice_orders_twisted_rows():
@@ -170,12 +172,14 @@ def test_fold_rank1_mirror_oracle():
 
 def test_fold_translation_invariance():
     rng = random.Random(41)
-    for (t, r, kind) in STANDARD_ROWS:
+    identity_rows = (("A", 2, "identity"), ("A", 3, "identity"),
+                     ("B", 3, "identity"), ("D", 4, "identity"))
+    for (t, r, kind) in STANDARD_ROWS + identity_rows:
         data = tw(t, r, kind)
         nf = data.fixed.rank
         for c in (1, 2):
             nshift = data.shifted_level(c)
-            for _ in range(8):
+            for _ in range(20):
                 eta = tuple(rng.randrange(-4, 5) for _ in range(nf))
                 coeffs = [rng.randrange(-2, 3) for _ in range(nf)]
                 shift = [nshift * sum(coeffs[j] * data.lattice_M[j][i]

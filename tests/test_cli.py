@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
 from twistblocks.cli import (Report, emit_report, main, parse_report,
                              parse_request, run_request)
 from twistblocks.dims import _finalize
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def make_request(**overrides):
@@ -237,6 +242,19 @@ def test_imaginary_part_exits_1(tmp_path, capsys, monkeypatch):
     path = _three_point_file(tmp_path, monkeypatch, 3 + 1e-6j)
     assert main([path]) == 1
     assert "imaginary part" in capsys.readouterr().err
+
+
+def test_float_overflow_exits_1_without_traceback():
+    # |T_c|^599 exceeds the float range: an error line, not a traceback
+    doc = make_request(algebra={"type": "A", "rank": 1}, twist=_IDENTITY,
+                       computation="classical", genus_bar=600)
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "twistblocks.cli", "-"],
+                          input=json.dumps(doc), capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 

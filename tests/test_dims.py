@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from twistblocks import (CurveRequest, InconsistentRamification,
-                         NotInAlphabet, ThreePointRequest, UnstableInput,
+                         IntegralityError, NotInAlphabet, ThreePointRequest, UnstableInput,
                          ambient_alphabet,
                          build_root_datum, build_twist, classical_verlinde,
                          factorized_dimension, fusion_coefficient,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import _WEIGHTSUM_DIM_CAP, _PointTable, _table
+from twistblocks.dims import _WEIGHTSUM_DIM_CAP, _PointTable, _finalize, _table
 from oracles import STANDARD_ROWS, signed_orbit_bfs, sl2_verlinde
 
 A1 = build_root_datum("A", 1)
@@ -307,6 +307,24 @@ def test_dimension_results_are_clean_integers():
             assert res.value >= 0
             assert res.residual < 1e-5
             assert abs(res.raw.imag) < 1e-7
+
+
+def test_float_overflow_is_an_integrality_error():
+    # |T_c|^{g-1} = 6^599 exceeds the float range although N = 2^600 does not;
+    # at level 10 a term Delta^{-599} overflows first
+    for c in (1, 10):
+        with pytest.raises(IntegralityError, match="float range"):
+            classical_verlinde(A1, c, 600, [])
+    data = tw("A", 3, "diagram2")
+    for lam in ((), ((0, 0), (0, 0))):
+        req = CurveRequest(twist=data, level=2, genus_bar=300,
+                           lambda_dagger=lam, mu=())
+        for formula in (general_dimension, factorized_dimension):
+            with pytest.raises(IntegralityError, match="float range"):
+                formula(req)
+    for raw in (math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
+        with pytest.raises(IntegralityError, match="not finite"):
+            _finalize(raw, "overflowed sum")
 
 
 def test_point_table_builds_ambient_exponents_when_read():
