@@ -9,9 +9,12 @@ slots to g itself).
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .dims import (CurveRequest, ThreePointRequest, classical_verlinde,
@@ -278,21 +281,81 @@ def report_ok(rep, tolerance):
     return True
 
 
-def emit_report(rep, out_format):
-    """Render a Report; the structured form is byte-deterministic.
+# a report is written in blocks of about this many characters (one byte
+# each: the text is ASCII), so its whole text is never held at once
+_BLOCK_CHARS = 1 << 16
 
-    Wall-clock timing is deliberately serialized as null so identical
-    requests produce identical bytes across runs.
-    """
-    if out_format == "structured":
-        doc = {"version": rep.version, "request": rep.request,
-               "pipelines": list(rep.pipelines),
-               "results": list(rep.results),
-               "agreement": rep.agreement, "timing": None}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out_format != "table":
-        raise SchemaError(f"unknown output format {out_format!r}")
 
+def _json_text(o, nl):
+    """json.dumps(o, sort_keys=True, indent=2) for a value nested in a
+    document: `nl` is a newline and the indent of the value's own line.
+    Keys must be strings, as every report's are."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, str):
+        return _json_str(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) \
+            + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]) \
+            + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _structured_parts(rep):
+    """The structured report, json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    byte for byte, as consecutive strings: one per result row, and the other
+    keys between them."""
+    doc = {"version": rep.version, "request": rep.request,
+           "pipelines": list(rep.pipelines), "results": rep.results,
+           "agreement": rep.agreement, "timing": None}
+    for i, key in enumerate(sorted(doc)):
+        yield ("{" if i == 0 else ",") + "\n  " + _json_str(key) + ": "
+        if key == "results" and rep.results:
+            for j, row in enumerate(rep.results):
+                yield ("[" if j == 0 else ",") + "\n    " + _json_text(row, "\n    ")
+            yield "\n  ]"
+        else:
+            yield _json_text(doc[key], "\n  ")
+    yield "\n}\n"
+
+
+def _blocks(parts):
+    """Join consecutive parts into blocks of _BLOCK_CHARS or a little more."""
+    block, size = [], 0
+    for part in parts:
+        block.append(part)
+        size += len(part)
+        if size >= _BLOCK_CHARS:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
+
+
+def _table_lines(rep):
+    """The table form, one line at a time; its widths need every row first."""
     keys = []
     for row in rep.results:
         for k in row["inputs"]:
@@ -309,13 +372,34 @@ def emit_report(rep, out_format):
             line.append(str(row[k]))
         table.append(line)
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-             for r in table]
+    for r in table:
+        yield "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
     if rep.agreement is not None:
-        lines.append(f"# agreement: {rep.agreement}")
+        yield f"# agreement: {rep.agreement}\n"
     if rep.timing is not None:
-        lines.append(f"# elapsed: {rep.timing:.3f}s")
-    return "\n".join(lines) + "\n"
+        yield f"# elapsed: {rep.timing:.3f}s\n"
+
+
+def emit_report(rep, out_format, out=None):
+    """Render a Report; the structured form is byte-deterministic.
+
+    With `out`, the text is written to it in blocks of about _BLOCK_CHARS,
+    one `write` each, and nothing is returned; without, it is returned as
+    one string.
+
+    Wall-clock timing is deliberately serialized as null so identical
+    requests produce identical bytes across runs.
+    """
+    if out_format == "structured":
+        parts = _structured_parts(rep)
+    elif out_format == "table":
+        parts = _table_lines(rep)
+    else:
+        raise SchemaError(f"unknown output format {out_format!r}")
+    if out is None:
+        return "".join(parts)
+    for block in _blocks(parts):
+        out.write(block)
 
 
 def parse_report(text):
@@ -367,7 +451,18 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(emit_report(rep, req.out_format))
+    try:
+        emit_report(rep, req.out_format, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the reader went away (`verlinde req.json | head`) or the disk is
+        # full: what stdout still buffers goes to os.devnull, so the flush
+        # at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     if req.out_format == "structured" and rep.timing is not None:
         print(f"# elapsed: {rep.timing:.3f}s", file=sys.stderr)
     return 0 if report_ok(rep, req.tolerance) else 1

@@ -5,6 +5,7 @@ factorization recursion."""
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,18 +79,19 @@ def _finalize(raw, context, allow_negative=False):
 
 
 def _check_twisted(twist, c, lam, slot):
-    lam = tuple(int(x) for x in lam)
-    if len(lam) != twist.fixed.rank or not twist.fixed.is_dominant(lam) \
-            or twist.weight_level(lam) > c:
+    lam = tuple(map(int, lam))
+    if len(lam) != twist.fixed.rank or min(lam) < 0 \
+            or sum(map(operator.mul, twist.level_marks, lam)) > c:
         raise NotInAlphabet(f"{slot} weight {lam} is not in D_{{{c},sigma}} "
                             f"of {twist.fixed}")
     return lam
 
 
 def _check_ambient(twist, c, nu, slot):
-    nu = tuple(int(x) for x in nu)
+    nu = tuple(map(int, nu))
     rd = twist.ambient
-    if len(nu) != rd.rank or not rd.is_dominant(nu) or rd.level(nu) > c:
+    if len(nu) != rd.rank or min(nu) < 0 \
+            or sum(map(operator.mul, rd.dual_marks, nu)) > c:
         raise NotInAlphabet(f"{slot} weight {nu} is not in D_{c} of {rd}")
     return nu
 

@@ -222,9 +222,6 @@ class WeightSet:
     twist: TwistData
     members: tuple
 
-    def __contains__(self, weight):
-        return tuple(weight) in set(self.members)
-
     def __len__(self):
         return len(self.members)
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
-from twistblocks.cli import (Report, emit_report, main, parse_report,
+from twistblocks.cli import (_BLOCK_CHARS, Report, emit_report, main, parse_report,
                              parse_request, run_request)
 from twistblocks.dims import _finalize
 
@@ -293,3 +293,132 @@ def test_structured_stdout_is_pinned(doc, digest, capsys, monkeypatch):
     assert main(["-", "--format", "structured"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _json_oracle(rep):
+    doc = {"version": rep.version, "request": rep.request,
+           "pipelines": list(rep.pipelines), "results": list(rep.results),
+           "agreement": rep.agreement, "timing": None}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _first_difference(a, b):
+    """None for equal texts, else where they part (cheap to report)."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[i - 40:i + 40], b[i - 40:i + 40]
+
+
+def _emitted(rep, out_format):
+    """The string form and the streamed form of one report, checked equal."""
+    text = emit_report(rep, out_format)
+    out = io.StringIO()
+    assert emit_report(rep, out_format, out) is None
+    assert _first_difference(out.getvalue(), text) is None
+    return text
+
+
+_KINDS = (
+    make_request(algebra={"type": "A", "rank": 1}, twist=_IDENTITY,
+                 computation="classical", weights={"ambient": [[1], [1], [0]]}),
+    make_request(computation="three_point",
+                 weights={"twisted": [[1, 0], [1, 0]], "ambient": [[0, 1, 0]]}),
+    make_request(level=2, computation="fusion_table"),
+    make_request(computation="general", **_CURVE),
+    make_request(computation="factorized", **_CURVE),
+    make_request(level=2),
+)
+
+
+@pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
+def test_structured_writer_matches_json(doc):
+    rep = run_request(parse_request(json.dumps(doc)))
+    assert _first_difference(_emitted(rep, "structured"), _json_oracle(rep)) is None
+
+
+def _row(i, value, residual):
+    return {"inputs": {"lambda": [i, -i], "mu": [], "eta": [[0], {}]},
+            "value": value, "residual": residual,
+            "value_kac_walton": value, "agree": i % 2 == 0}
+
+
+@pytest.mark.parametrize("agreement", (None, False, True))
+def test_structured_writer_edge_values(agreement):
+    floats = (0.0, -0.0, 5e-324, 1e300, 1.4e-5, 0.1, float("nan"),
+              float("inf"), float("-inf"))
+    rows = [_row(i, (-1) ** i * 10 ** (i % 25), floats[i % len(floats)])
+            for i in range(3000)]
+    request = {"algebra": {"type": "A\"\\\u00e9\t", "rank": 3},
+               "weights": {"twisted": [], "ambient": [[0, -1]]}, "options": {}}
+    for results in (rows, rows[:5], []):
+        rep = Report(version=1, request=request, pipelines=("twisted_verlinde",),
+                     results=tuple(results), agreement=agreement, timing=1.5)
+        text = _emitted(rep, "structured")
+        assert _first_difference(text, _json_oracle(rep)) is None
+        _emitted(rep, "table")
+        if results is rows:
+            assert len(text) > 3 * _BLOCK_CHARS
+
+
+class _RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_main_writes_bounded_blocks(monkeypatch):
+    doc = make_request(level=3, options={"format": "structured"})
+    rep = run_request(parse_request(json.dumps(doc)))
+    text = emit_report(rep, "structured")
+    # a row's text in the document: its separator and its extra indent
+    row_chars = max(len(json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    "))
+                    + len(",\n    ") for r in rep.results)
+    out = _RecordingStdout()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["-"]) == 0
+    assert len(out.writes) > 2
+    assert max(len(w) for w in out.writes) <= _BLOCK_CHARS + row_chars
+    assert _first_difference("".join(out.writes), text) is None
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+@pytest.mark.parametrize("doc, read_first", (
+    (make_request(level=3), True),
+    (make_request(computation="three_point",
+                  weights={"twisted": [[1, 0], [1, 0]], "ambient": [[0, 1, 0]]}), False)),
+                         ids=("closed-midway", "closed-first"))
+def test_closed_stdout_exits_2_without_traceback(unbuffered, doc, read_first):
+    # The level-3 crosscheck writes about 230 kB: the reader leaves after
+    # its first read, before the last blocks.  The three-point report is
+    # under 1 kB, which a buffered stdout holds until the flush; the reader
+    # leaves before the request is even sent.
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "twistblocks.cli", "-",
+                             "--format", "structured"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        if not read_first:
+            proc.stdout.close()
+        proc.stdin.write(json.dumps(doc).encode())
+        proc.stdin.close()
+        if read_first:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
