@@ -5,11 +5,11 @@ Verlinde point sums, the Kac-Walton alternating sum, and the
 factorization recursion.  See README for the CLI.
 """
 
-from .alcove import (AlcoveEnumeration, FoldResult, TorusPoint,
-                     enumerate_sigma_c, fold_to_alcove, lattice_orders)
+from .alcove import (AlcoveEnumeration, FoldResult, enumerate_sigma_c,
+                     fold_to_alcove, lattice_orders)
 from .dims import (CurveRequest, DimensionResult, ThreePointRequest,
                    classical_verlinde, factorized_dimension,
-                   fusion_coefficient, general_dimension, identity_twist,
+                   fusion_coefficient, general_dimension,
                    riemann_hurwitz_genus, twisted_three_point)
 from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
                      NonDominant, NotInAlphabet, SchemaError, SingularPoint,
@@ -18,8 +18,7 @@ from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
 from .kacwalton import KWLedger, euler_characteristic_report, kac_walton_dimension
 from .liecore import Exponents, RootDatum, build_root_datum
 from .twist import (DIAGRAM2, DIAGRAM3, IDENTITY, STANDARD4, TwistData,
-                    TwistKind, WeightSet, a2n_weight_bijection,
-                    ambient_alphabet, branch_to_fixed, build_twist,
-                    twist_kind, weight_alphabet)
+                    TwistKind, WeightSet, ambient_alphabet, branch_to_fixed,
+                    build_twist, twist_kind, weight_alphabet)
 
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@ Sigma_c = T_c^{sigma,reg}/W^sigma, and affine Weyl folding with the
 rho-shifted star action."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .twist import TwistData, build_twist, weight_alphabet, _bounded_lex
@@ -15,18 +14,10 @@ _FOLD_SLACK = 64
 
 
 @dataclass(frozen=True)
-class TorusPoint:
-    """t = exp(2 pi i xi); xi in fundamental-coweight coordinates."""
-    xi: tuple
-
-
-@dataclass(frozen=True)
 class AlcoveEnumeration:
     twist: TwistData
     level: int
-    points: tuple           # TorusPoint of the fixed Cartan
-    exponents: tuple        # Exponents of each point for the fixed algebra
-    labels: tuple           # alphabet element that produced each point
+    points: tuple           # Exponents of each point for the fixed algebra
     order_T: int
     order_Tsigma: int
 
@@ -58,29 +49,29 @@ def lattice_orders(twist, c):
 
 
 def _points(twist, c):
-    """Torus points xi_j = scale_j (label_j + 1) / (c + h) and their labels.
+    """Exponents of the torus points xi_j = scale_j (label_j + 1) / (c + h).
 
-    * identity: labels A_c, scale d_j, since
-      alpha_j(nu^{-1}(lam+rho)) = <alpha_j, lam+rho> = d_j (lam_j + 1);
-    * standard4: labels D_{c,sigma}, scale 2 d_j, since the form with
-      <theta_l|theta_l> = 4 is twice the restriction of the ambient one;
+    With d the symmetrizer, long roots largest:
+    * identity: labels A_c, scale d_j / max(d), since
+      alpha_j(nu^{-1}(lam+rho)) = <alpha_j, lam+rho> = d_j (lam_j + 1) / max(d);
+    * standard4: labels D_{c,sigma}, scale 2 d_j / max(d), since the form
+      with <theta_l|theta_l> = 4 is twice the restriction of the ambient one;
     * diagram: labels the coweight alphabet
       {lam_check dominant : (lam_check, theta_l) <= c}, scale 1, i.e.
       xi = (rho_check + lam_check)/(c+h).
     """
     fixed = twist.fixed
     tag = twist.kind.tag
+    top = max(fixed._sym)
     if tag in ("diagram2", "diagram3"):
         labels = _bounded_lex([int(m) for m in fixed.marks], c)
-        scale = [1] * fixed.rank
+        scale = [top] * fixed.rank
     else:
         labels = weight_alphabet(twist, c).members
         scale = [(2 if tag == "standard4" else 1) * d for d in fixed._sym]
-    nshift = twist.shifted_level(c)
-    pts = [TorusPoint(tuple(Fraction(scale[j] * (lab[j] + 1), nshift)
-                            for j in range(fixed.rank)))
-           for lab in labels]
-    return pts, labels
+    den = twist.shifted_level(c) * top
+    return [fixed.exponent_vector([s * (x + 1) for s, x in zip(scale, lab)], den)
+            for lab in labels]
 
 
 def enumerate_sigma_c(twist, c):
@@ -92,22 +83,21 @@ def enumerate_sigma_c(twist, c):
     twist._require_standard("the regular-point enumeration")
     if c < 1:
         raise ValueError("level must be >= 1")
-    pts, labels = _points(twist, c)
+    pts = _points(twist, c)
 
     alphabet_size = len(weight_alphabet(twist, c))
     if len(pts) != alphabet_size:
         raise AssertionError(
             f"|Sigma_c| = {len(pts)} differs from |D_c,sigma| = {alphabet_size}")
-    if len({p.xi for p in pts}) != len(pts):
+    # xi -> y is injective and each y is in lowest terms
+    if len(set(pts)) != len(pts):
         raise AssertionError("enumerated torus points are not distinct")
-    exponents = tuple(twist.fixed.exponent_vector(p.xi) for p in pts)
-    for p, y in zip(pts, exponents):
+    for y in pts:
         if not twist.fixed.point_is_regular(y):
-            raise AssertionError(f"enumerated point {p.xi} is not regular")
+            raise AssertionError(f"enumerated point {y} is not regular")
 
     order_t, order_ts = lattice_orders(twist, c)
     return AlcoveEnumeration(twist=twist, level=c, points=tuple(pts),
-                             exponents=exponents, labels=tuple(labels),
                              order_T=order_t, order_Tsigma=order_ts)
 
 

@@ -8,6 +8,7 @@ slots to g itself).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -168,10 +169,6 @@ def parse_request(text):
     need("options.tolerance",
          isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
          "must be a positive number")
-    # accepted for compatibility; rows always run one after another
-    threads = opts.get("threads", 1)
-    need("options.threads", _is_int(threads) and threads >= 1,
-         "must be an integer >= 1")
     fmt = opts.get("format", "table")
     need("options.format", fmt in ("table", "structured"),
          "must be 'table' or 'structured'")
@@ -414,6 +411,19 @@ def parse_report(text):
                   agreement=doc["agreement"], timing=doc["timing"])
 
 
+def _report_stream():
+    """stdout's descriptor behind a BufferedWriter, which retries a short
+    write (the unbuffered sys.stdout of PYTHONUNBUFFERED ignores one, so a
+    reader that leaves mid-write would get truncated output and exit 0); a
+    stdout without a descriptor is used as is, and left open."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return contextlib.nullcontext(sys.stdout)
+    sys.stdout.flush()
+    return open(fd, "w", encoding="ascii", closefd=False)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="verlinde",
@@ -421,8 +431,6 @@ def main(argv=None):
                     "Kac-Walton recursion, factorization.")
     ap.add_argument("request", help="request file, or - for stdin")
     ap.add_argument("--format", choices=("table", "structured"), default=None)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility; has no effect")
     ap.add_argument("--tolerance", type=float, default=None)
     args = ap.parse_args(argv)
 
@@ -452,12 +460,13 @@ def main(argv=None):
         return 2
 
     try:
-        emit_report(rep, req.out_format, sys.stdout)
-        sys.stdout.flush()
+        with _report_stream() as out:
+            emit_report(rep, req.out_format, out)
+            out.flush()
     except OSError as exc:
         # the reader went away (`verlinde req.json | head`) or the disk is
-        # full: what stdout still buffers goes to os.devnull, so the flush
-        # at exit raises nothing more
+        # full: what the report stream and stdout still buffer goes to
+        # os.devnull, so the flushes when they close raise nothing more
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -7,7 +7,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
@@ -105,7 +104,7 @@ class _PointTable:
     def __init__(self, twist, c):
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
-        self.fixed_y = self.enum.exponents
+        self.fixed_y = self.enum.points
 
     @functools.cached_property
     def ambient_y(self):
@@ -200,20 +199,16 @@ def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
     return tree_sum(terms)
 
 
-def _as_float(x, what):
-    """float(x), or IntegralityError past the float range: no dimension is rounded there."""
+def _ratio(num, den, what):
+    """num / den of ints, correctly rounded, or IntegralityError past the
+    float range: no dimension is rounded there."""
     try:
-        return float(x)
+        return num / den
     except OverflowError:
         raise IntegralityError(f"{what} exceeds the float range") from None
 
 
 # -- the formulas ----------------------------------------------------------
-
-def identity_twist(rd):
-    """Trivial-twist TwistData for rd (classical Verlinde setup)."""
-    return build_twist(rd, "identity")
-
 
 def _classical_raw(tw, c, g, weights):
     """|T_c|^{g-1} sum over A_c of prod chi * Delta^{1-g}; no stability gate.
@@ -222,7 +217,8 @@ def _classical_raw(tw, c, g, weights):
     """
     table = _table(tw, c)
     total = _point_sum(table, fixed=weights, dexp=g - 1)
-    return total * _as_float(Fraction(table.enum.order_T) ** (g - 1), f"|T_c|^{g - 1}")
+    t = table.enum.order_T
+    return total * _ratio(t ** max(g - 1, 0), t ** max(1 - g, 0), f"|T_c|^{g - 1}")
 
 
 def classical_verlinde(rd, c, g, weights):
@@ -231,7 +227,7 @@ def classical_verlinde(rd, c, g, weights):
         raise ValueError("level must be >= 1")
     if g < 0:
         raise ValueError("genus must be >= 0")
-    tw = identity_twist(rd)
+    tw = build_twist(rd, "identity")
     weights = tuple(_check_ambient(tw, c, w, f"insertion {i}")
                     for i, w in enumerate(weights))
     if g == 0 and len(weights) < 3:
@@ -309,14 +305,14 @@ def general_dimension(req):
     if a == 0:
         # no ramified pairs: the cover contributes nothing and the formula
         # degenerates to the classical sum over the full regular-class set
-        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
+        raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus)
         return _finalize(raw, f"N_({gbar},a=0){mus}")
     table = _table(twist, c)
     dexp = gbar - 1 + a
     total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
     enum = table.enum
-    factor = _as_float(Fraction(enum.order_T) ** dexp / Fraction(enum.order_Tsigma) ** a,
-                       f"|T_c|^{dexp} / |T_c^sigma|^{a}")
+    factor = _ratio(enum.order_T ** dexp, enum.order_Tsigma ** a,
+                    f"|T_c|^{dexp} / |T_c^sigma|^{a}")
     return _finalize(total * factor, f"N_({gbar},a={a}){lams}{mus}")
 
 
@@ -330,11 +326,11 @@ def factorized_dimension(req):
     twist, c, gbar = req.twist, req.level, req.genus_bar
     if a == 0:
         # empty product over pairs: plain classical Verlinde number
-        raw = _classical_raw(identity_twist(twist.ambient), c, gbar, mus)
+        raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus)
         return _finalize(raw, f"factorized N_({gbar},a=0){mus}")
     dc = ambient_alphabet(twist, c)
     rd = twist.ambient
-    classical_tw = identity_twist(rd)
+    classical_tw = build_twist(rd, "identity")
     # n3[k][i]: three-point number of pair k glued to the i-th weight of D_c
     n3 = [[twisted_three_point(ThreePointRequest(
                twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],

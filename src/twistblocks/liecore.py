@@ -7,11 +7,12 @@ Conventions used throughout the package
 * Weights are tuples of ints in the fundamental-weight basis of their
   root datum; coweights are tuples in the fundamental-coweight basis.
 * The invariant form is normalized so long roots have squared length 2.
-* A torus point is a tuple of Fractions ``xi`` in fundamental-coweight
-  coordinates and stands for ``t = exp(2*pi*i*xi)``.  Its exponent vector
-  ``y[i] = omega_i(xi)`` is held as integers over one least denominator
+* A torus point ``xi`` in fundamental-coweight coordinates stands for
+  ``t = exp(2*pi*i*xi)``.  It is held as its exponent vector
+  ``y[i] = omega_i(xi)``, integers over one least denominator
   (``Exponents``), so every ``lambda(xi)`` is an exact integer residue mod
   that denominator; only the final complex exponential is floating point.
+  The inverse Cartan matrix and the form are integers over one denominator.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonDominant, SingularPoint, UnsupportedType
-from .util import fraction_lcm_den, memo, rational_inverse
+from .util import integer_inverse, memo
 
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
@@ -95,21 +96,19 @@ class RootDatum:
         self.cartan = _cartan_matrix(lie_type, rank)
         # column j as plain ints: the simple root alpha_j in weight coordinates
         self._cols = tuple(tuple(int(x) for x in self.cartan[:, j]) for j in range(rank))
-        self.cartan_inv = rational_inverse(self.cartan.tolist())
-        # the same inverse as integer numerators over one denominator
-        self._cinv_den = fraction_lcm_den(x for row in self.cartan_inv for x in row)
-        self._cinv_num = [[int(x * self._cinv_den) for x in row]
-                          for row in self.cartan_inv]
+        # A^{-1} = adjugate / determinant
+        self._cinv_num, self._cinv_den = integer_inverse(self.cartan.tolist())
         self.rho = tuple([1] * rank)
         self.rho_check = tuple([1] * rank)
 
         self._sym = self._symmetrizer()
-        # form on weight coordinates: F[i][j] = d_i * (A^{-1})[i][j]
-        self._form = [[self._sym[i] * self.cartan_inv[i][j] for j in range(rank)]
-                      for i in range(rank)]
-        den = fraction_lcm_den(x for row in self._form for x in row)
-        self._form_num = [[int(x * den) for x in row] for row in self._form]
-        self._form_den = den
+        # form on weight coordinates: F[i][j] = d_i (A^{-1})[i][j] / max(d),
+        # in lowest terms
+        num = [[d * x for x in row] for d, row in zip(self._sym, self._cinv_num)]
+        den = max(self._sym) * self._cinv_den
+        g = math.gcd(den, *(x for row in num for x in row))
+        self._form_num = [[x // g for x in row] for row in num]
+        self._form_den = den // g
 
         self._build_roots()
         self._build_theta_data()
@@ -117,20 +116,22 @@ class RootDatum:
     # -- static data -------------------------------------------------
 
     def _symmetrizer(self):
-        """d_i with d_i a_ij = d_j a_ji, normalized so max(d) = 1."""
+        """Coprime integers d_i with d_i a_ij = d_j a_ji; the long roots get
+        the largest."""
         n = self.rank
-        a = self.cartan
+        a = self.cartan.tolist()
         d = [None] * n
-        d[0] = Fraction(1)
+        # each a_ij / a_ji is 1, 2, 3, 1/2 or 1/3, and only one differs from 1
+        d[0] = 6
         todo = [0]
         while todo:
             i = todo.pop()
             for j in range(n):
                 if a[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * a[i][j] / a[j][i]
+                    d[j] = d[i] * a[i][j] // a[j][i]
                     todo.append(j)
-        top = max(d)
-        return tuple(x / top for x in d)
+        g = math.gcd(*d)
+        return tuple(x // g for x in d)
 
     def _build_roots(self):
         """Positive roots by the standard root-string closure."""
@@ -164,7 +165,6 @@ class RootDatum:
         alpha = np.array(sorted(found, key=lambda r: (sum(r), r)), dtype=np.int64)
         self.positive_roots_alpha = alpha
         self.positive_roots = alpha @ self.cartan.T
-        self.num_positive_roots = len(alpha)
 
     def _build_theta_data(self):
         pr = self.positive_roots
@@ -187,12 +187,13 @@ class RootDatum:
             self.highest_short_root = self.highest_root
 
         # coroot of theta in the simple-coroot basis -> dual Kac labels
-        # (A^T)^{-1} m, read off the inverse already held
-        mvec = [self._sym[i] * self.highest_root[i] for i in range(self.rank)]
-        dm = [sum(self.cartan_inv[j][i] * mvec[j] for j in range(self.rank))
+        # (A^T)^{-1} m with m_j = d_j theta_j / max(d), from the adjugate
+        mvec = [d * x for d, x in zip(self._sym, self.highest_root)]
+        scale = max(self._sym) * self._cinv_den
+        dm = [sum(row[i] * m for row, m in zip(self._cinv_num, mvec))
               for i in range(self.rank)]
-        assert all(x.denominator == 1 for x in dm)
-        self.dual_marks = tuple(int(x) for x in dm)
+        assert all(x % scale == 0 for x in dm)
+        self.dual_marks = tuple(x // scale for x in dm)
         self.dual_coxeter = 1 + sum(self.dual_marks)
 
         # per positive root: integer vector cv with lambda(root^vee) = cv . lambda,
@@ -214,7 +215,8 @@ class RootDatum:
     @property
     def normalized_form(self):
         """Gram matrix of the invariant form on fundamental weights (Fractions)."""
-        return tuple(tuple(row) for row in self._form)
+        return tuple(tuple(Fraction(x, self._form_den) for x in row)
+                     for row in self._form_num)
 
     # -- elementary weight arithmetic ---------------------------------
 
@@ -228,21 +230,17 @@ class RootDatum:
                         acc += int(x[i]) * self._form_num[i][j] * int(y[j])
         return Fraction(acc, self._form_den)
 
-    def exponent_vector(self, xi):
-        """Exponents y with y[i] = omega_i(xi) for a coweight-coordinate point xi."""
-        xi = [Fraction(x) for x in xi]
+    def exponent_vector(self, xi, den=1):
+        """Exponents y with y[i] = omega_i(xi / den) for the coweight-coordinate
+        point xi / den; the coordinates of xi are ints or Fractions."""
         scale = math.lcm(*(x.denominator for x in xi))
         a = [x.numerator * (scale // x.denominator) for x in xi]
-        # y = (A^{-1})^T xi = (num . a) / (cinv_den * scale), then lowest terms
+        # y = (A^{-1})^T xi = (adj^T a) / (det * scale * den), then lowest terms
         num = [sum(row[i] * x for row, x in zip(self._cinv_num, a))
                for i in range(self.rank)]
-        den = self._cinv_den * scale
+        den *= self._cinv_den * scale
         g = math.gcd(den, *num)
         return Exponents(tuple(x // g for x in num), den // g)
-
-    def level(self, weight):
-        """lambda(theta^vee) = sum of dual marks times coordinates."""
-        return sum(int(m) * int(x) for m, x in zip(self.dual_marks, weight))
 
     def is_dominant(self, weight):
         return all(x >= 0 for x in weight)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalPair, NonDominant, NotInAlphabet, UnsupportedCombination
+from .errors import IllegalPair, NonDominant, UnsupportedCombination
 from .liecore import Exponents, RootDatum, build_root_datum
-from .util import fraction_lcm_den, memo
+from .util import memo
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,6 @@ class TwistData:
 
     def shifted_level(self, c):
         return c + self.dual_coxeter
-
-    def weight_level(self, lam):
-        return sum(int(m) * int(x) for m, x in zip(self.level_marks, lam))
 
     def ambient_exponents(self, yf):
         """Exponents for ambient weights of the point with fixed exponents yf,
@@ -202,15 +199,13 @@ def _identity_twist(ambient):
     theta_check = tuple(int(sum(m * int(ambient.cartan[i][j]) for i, m in enumerate(marks)))
                         for j in range(n))
     # translation lattice of the classical torus: nu(Q^vee), the span of the
-    # long roots, with basis nu(alpha_j^vee) = alpha_j / d_j
-    lattice = []
-    for alpha, d in zip(ambient.simple_roots, ambient._sym):
-        v = [x / d for x in alpha]
-        assert all(x.denominator == 1 for x in v)
-        lattice.append(tuple(int(x) for x in v))
+    # long roots, with basis nu(alpha_j^vee) = alpha_j max(d) / d_j
+    top = max(ambient._sym)
+    lattice = tuple(tuple(x * (top // d) for x in alpha)
+                    for alpha, d in zip(ambient.simple_roots, ambient._sym))
     assert sum(marks) == ambient.dual_coxeter - 1
     return TwistData(ambient=ambient, kind=IDENTITY, fixed=ambient,
-                     restriction_matrix=eye, lattice_M=tuple(lattice),
+                     restriction_matrix=eye, lattice_M=lattice,
                      theta_sigma=ambient.highest_root, theta_check_sigma=theta_check,
                      level_marks=marks, a0=1, is_standard=True)
 
@@ -298,11 +293,9 @@ def _branch_uncached(twist, nu):
     remaining = {}
     for rw, m in zip(map(tuple, restricted.tolist()), ws.values()):
         remaining[rw] = remaining.get(rw, 0) + m
-    hf = [sum(fixed.cartan_inv[i][j] for i in range(fixed.rank))
-          for j in range(fixed.rank)]
-    # heights scaled by a common denominator: same order, integer arithmetic
-    den = fraction_lcm_den(hf)
-    hf = [int(h * den) for h in hf]
+    # heights are the column sums of A^{-1} = adj / det; det > 0, so the
+    # adjugate's column sums give the same order
+    hf = [sum(col) for col in zip(*fixed._cinv_num)]
 
     def height(w):
         return sum(h * x for h, x in zip(hf, w))
@@ -323,19 +316,3 @@ def _branch_uncached(twist, nu):
     if left:
         raise AssertionError(f"branching left weights unpeeled: {left}")
     return out
-
-
-def a2n_weight_bijection(twist, c, lam, check_alphabet=True):
-    """C_n -> B_n relabeling for the order-4 row.
-
-    sum a_i w_i^C maps to sum_{i<n} a_i w_i^B + (2 a_n + c) w_n^B.
-    """
-    if twist.kind.tag != "standard4":
-        raise IllegalPair("weight relabeling applies to the order-4 twist only")
-    lam = tuple(int(x) for x in lam)
-    if len(lam) != twist.fixed.rank or not twist.fixed.is_dominant(lam):
-        raise NotInAlphabet(f"{lam} is not a dominant weight of {twist.fixed}")
-    if check_alphabet and twist.weight_level(lam) > c:
-        raise NotInAlphabet(f"{lam} exceeds level {c}")
-    n = twist.fixed.rank
-    return lam[:n - 1] + (2 * lam[n - 1] + c,)

@@ -1,10 +1,8 @@
-"""Small exact-arithmetic helpers: rational linear algebra, integer
-determinants, deterministic summation, and the package's one cache idiom."""
+"""Small exact-arithmetic helpers: integer determinants and inverses,
+deterministic summation, and the package's one cache idiom."""
 
 import functools
 import threading
-from fractions import Fraction
-from math import gcd
 
 
 def memo(fn):
@@ -28,48 +26,6 @@ def memo(fn):
 
     cached.cache = cache
     return cached
-
-
-def rational_inverse(mat):
-    """Invert a square integer/rational matrix exactly.
-
-    Returns a list of rows of Fractions.  Gauss-Jordan with exact pivots;
-    fine for the rank <= 8 matrices used here.
-    """
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def solve_rational(mat, vec):
-    """Solve mat @ x = vec exactly; mat square integer/rational."""
-    inv = rational_inverse(mat)
-    n = len(vec)
-    return tuple(sum(inv[i][j] * Fraction(vec[j]) for j in range(n)) for i in range(n))
-
-
-def fraction_lcm_den(xs):
-    """lcm of the denominators of an iterable of Fractions."""
-    d = 1
-    for x in xs:
-        x = Fraction(x)
-        d = d * x.denominator // gcd(d, x.denominator)
-    return d
 
 
 def tree_sum(values):
@@ -106,6 +62,8 @@ def integer_determinant(mat):
     """
     a = [[int(x) for x in row] for row in mat]
     n = len(a)
+    if n == 0:
+        return 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -119,3 +77,14 @@ def integer_determinant(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def integer_inverse(mat):
+    """(adjugate, determinant) of a square integer matrix, so that
+    mat^{-1} = adj / det; adj[i][j] is the cofactor of entry (j, i)."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    adj = [[(-1) ** (i + j) * integer_determinant(
+                [row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j])
+            for j in range(n)] for i in range(n)]
+    return adj, integer_determinant(a)

@@ -4,13 +4,37 @@ Nothing here may call back into the computation paths it validates: the
 sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
 normal form, the twisted level marks are a frozen table, Weyl orbits,
 root systems and coroots come from set-based searches that use only the
-Cartan matrix, and type-A weight multiplicities are Kostka numbers counted on
-semistandard tableaux.
+Cartan matrix, type-A weight multiplicities are Kostka numbers counted on
+semistandard tableaux, and rational linear algebra is sympy's.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+
+# -- rational linear algebra -------------------------------------------------
+
+def rational_inverse(mat):
+    """mat^{-1} as rows of Fractions, by sympy."""
+    inv = Matrix([[int(x) for x in row] for row in mat]).inv()
+    return [[Fraction(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)]
+
+
+def solve_rational(mat, vec):
+    """The x with mat @ x = vec, as Fractions, by sympy."""
+    inv = rational_inverse(mat)
+    return tuple(sum(row[j] * Fraction(vec[j]) for j in range(len(vec))) for row in inv)
+
+
+def coweight_point(cartan, y):
+    """xi = A^T y: the coweight coordinates of the torus point whose
+    exponent vector, y_i = omega_i(xi), is y.num / y.den."""
+    n = len(cartan)
+    return tuple(sum(Fraction(int(cartan[i][j]) * y.num[i], y.den) for i in range(n))
+                 for j in range(n))
 
 
 # -- sl2 fusion ring ---------------------------------------------------------
@@ -151,14 +175,29 @@ def roots_by_reflection(cartan):
                                         for j in range(n)])
 
 
-def long_roots(cartan):
-    """The long roots, as weight tuples: the Weyl orbit of the highest root,
-    the dominant root of largest height (simple-root coordinates are
-    cartan^{-1} applied to the weight coordinates)."""
+def highest_root(cartan):
+    """(weight coordinates, simple-root coordinates) of the highest root, the
+    dominant root of largest height (simple-root coordinates are cartan^{-1}
+    applied to the weight coordinates)."""
     inv = Matrix([[int(x) for x in row] for row in cartan]).inv()
     dominant = [v for v in roots_by_reflection(cartan) if min(v) >= 0]
     theta = max(dominant, key=lambda v: sum(inv * Matrix(v)))
-    return orbit_by_reflection(cartan, [theta])
+    return theta, tuple(int(x) for x in inv * Matrix(theta))
+
+
+def long_roots(cartan):
+    """The long roots, as weight tuples: the Weyl orbit of the highest root."""
+    return orbit_by_reflection(cartan, [highest_root(cartan)[0]])
+
+
+def simple_root_lengths(cartan):
+    """|alpha_j|^2 / |theta|^2 for each simple root: 1 for a long root and
+    1/m for a short one, m the largest off-diagonal |a_ij|."""
+    n = len(cartan)
+    longs = long_roots(cartan)
+    m = max([1] + [-int(cartan[i][j]) for i in range(n) for j in range(n) if i != j])
+    return tuple(Fraction(1) if tuple(int(cartan[k][j]) for k in range(n)) in longs
+                 else Fraction(1, m) for j in range(n))
 
 
 def positive_coroots(cartan):

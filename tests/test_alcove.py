@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,11 @@ from sympy import Matrix
 
 from twistblocks import (build_root_datum, build_twist, enumerate_sigma_c,
                          fold_to_alcove, lattice_orders, weight_alphabet)
-from twistblocks.util import integer_determinant, solve_rational
-from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, dual_coxeter_classical,
-                     long_roots, quotient_order, sl2_admissible)
+from twistblocks.util import integer_determinant, integer_inverse
+from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, coweight_point,
+                     dual_coxeter_classical, highest_root, long_roots,
+                     quotient_order, simple_root_lengths, sl2_admissible,
+                     solve_rational)
 
 
 def tw(t, r, kind):
@@ -51,6 +54,17 @@ def test_integer_determinant_against_sympy():
             mat[rng.randrange(n)] = [0] * n if rng.random() < 0.5 else mat[0]
         assert integer_determinant(mat) == Matrix(mat).det(), mat
     assert integer_determinant([[0, 1], [1, 0]]) == -1
+    assert integer_determinant([]) == 1
+
+
+def test_integer_inverse_against_sympy():
+    # adj / det is the inverse on every supported Cartan matrix and on 1x1
+    mats = [build_root_datum(t, r).cartan.tolist() for t, r in SUPPORTED_TYPES]
+    mats += [[[x]] for x in (1, -1, 2, 7)]
+    for mat in mats:
+        adj, det = integer_inverse(mat)
+        assert all(type(x) is int for row in adj for x in row) and type(det) is int
+        assert Matrix(adj) / det == Matrix(mat).inv(), mat
 
 
 def test_lattice_orders_twisted_rows():
@@ -86,8 +100,42 @@ def test_lattice_order_divisibility():
 def test_enumerate_a1_identity():
     data = tw("A", 1, "identity")
     enum = enumerate_sigma_c(data, 1)
-    assert [p.xi for p in enum.points] == [(Fraction(1, 3),), (Fraction(2, 3),)]
+    assert [coweight_point(data.fixed.cartan, y) for y in enum.points] \
+        == [(Fraction(1, 3),), (Fraction(2, 3),)]
     assert enum.order_T == 6
+
+
+def test_points_are_the_documented_coweights():
+    # xi_j = scale_j (label_j + 1) / (c + h), read back from the integer
+    # exponents as xi = A^T y:
+    # * identity: labels A_c, scale |alpha_j|^2 / |theta|^2;
+    # * standard4: labels D_{c,sigma}, twice that scale;
+    # * diagram: labels {lam_check dominant : (lam_check, theta_l) <= c},
+    #   scale 1, theta_l the highest root of the fixed algebra
+    rows = [("A", 2, "identity"), ("B", 3, "identity"), ("C", 3, "identity"),
+            ("F", 4, "identity"), ("G", 2, "identity"), ("A", 2, "standard4"),
+            ("A", 4, "standard4"), ("A", 3, "diagram2"), ("D", 4, "diagram2"),
+            ("D", 4, "diagram3"), ("E", 6, "diagram2")]
+    for t, r, kind in rows:
+        data = tw(t, r, kind)
+        cartan = data.fixed.cartan
+        n = dual_coxeter_classical(t, r)
+        if kind.startswith("diagram"):
+            marks = highest_root(cartan)[1]
+            scale = [1] * len(marks)
+        else:
+            scale = [(2 if kind == "standard4" else 1) * x
+                     for x in simple_root_lengths(cartan)]
+        for c in (1, 2, 3):
+            if kind.startswith("diagram"):
+                labels = [v for v in itertools.product(range(c + 1), repeat=len(marks))
+                          if sum(m * x for m, x in zip(marks, v)) <= c]
+            else:
+                labels = weight_alphabet(data, c).members
+            expect = [tuple(Fraction(s * (x + 1), c + n) for s, x in zip(scale, lab))
+                      for lab in labels]
+            got = [coweight_point(cartan, y) for y in enumerate_sigma_c(data, c).points]
+            assert got == expect, (t, r, kind, c)
 
 
 def test_enumeration_cardinality():
@@ -129,7 +177,7 @@ def test_d4_triality_points_have_trivial_stabilizer():
                    for j in range(fixed.rank)]
     for c in (1, 2):
         for pt in enumerate_sigma_c(data, c).points:
-            xi = np.array([Fraction(x) for x in pt.xi], dtype=object)
+            xi = np.array(coweight_point(fixed.cartan, pt), dtype=object)
             stab = 0
             for m in group:
                 diff = list(m @ xi - xi)
@@ -238,10 +286,10 @@ def test_sign_coherence_with_characters():
             etas = [(a, b) for a in box for b in box]
             for eta in etas:
                 res = fold_to_alcove(data, c, eta)
-                for pt in pts:
-                    val = fixed.character_by_weights(eta, pt.xi)
-                    if res.status == "wall":
-                        assert abs(val) < 1e-8
-                    else:
-                        ref = fixed.character_by_weights(res.weight, pt.xi)
-                        assert abs(val - res.sign * ref) < 1e-8
+                vals = fixed.character_at_exponents(eta, pts, method="weights")
+                if res.status == "wall":
+                    assert all(abs(val) < 1e-8 for val in vals)
+                else:
+                    refs = fixed.character_at_exponents(res.weight, pts, method="weights")
+                    assert all(abs(val - res.sign * ref) < 1e-8
+                               for val, ref in zip(vals, refs))

@@ -148,10 +148,10 @@ def test_structured_round_trip():
     assert emit_report(back, "structured") == text
 
 
-def test_structured_determinism_across_runs_and_threads():
+def test_structured_determinism_across_runs():
     texts = []
-    for threads in (1, 1, 3):
-        req = parse_request(json.dumps(make_request(options={"threads": threads})))
+    for _ in range(3):
+        req = parse_request(json.dumps(make_request()))
         texts.append(emit_report(run_request(req), "structured"))
     assert texts[0] == texts[1] == texts[2]
 
@@ -179,11 +179,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
-    # options.threads is still validated; --threads is accepted and ignored
-    bad.write_text(json.dumps(make_request(options={"threads": 0})))
-    assert main([str(bad)]) == 2
-    capsys.readouterr()
-
     # JSON true/false are not numbers in any integer or tolerance slot
     three = {"computation": "three_point",
              "weights": {"twisted": [[0, 0], [0, 0]], "ambient": [[0, 0, 0]]}}
@@ -194,7 +189,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                 make_request(level=True),
                 make_request(genus_bar=False),
                 make_request(pairs=False),
-                make_request(options={"threads": True}),
                 make_request(options={"tolerance": True}),
                 make_request(**{**three, "weights": {"twisted": [[0, False], [0, 0]],
                                                      "ambient": [[0, 0, 0]]}}),
@@ -206,7 +200,10 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad.write_text(json.dumps(make_request(**three)))
     assert main([str(bad)]) == 0     # the same request with integers passes
     capsys.readouterr()
-    assert main([str(path), "--threads", "3"]) == 0
+    # there is no --threads flag
+    with pytest.raises(SystemExit) as stop:
+        main([str(path), "--threads", "3"])
+    assert stop.value.code == 2
     capsys.readouterr()
 
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make_request())))
@@ -414,6 +411,41 @@ def test_closed_stdout_exits_2_without_traceback(unbuffered, doc, read_first):
         if read_first:
             assert proc.stdout.read(1) == b"{"
             proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+def test_reader_leaving_during_a_write_exits_2(unbuffered):
+    # The report is one block, one write, larger than the one-page pipe:
+    # the reader takes 64 bytes and leaves while that write is blocked, so
+    # the write returns a short count.  It must be retried and fail, not
+    # end in truncated stdout and exit 0.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set here")
+    doc = make_request()
+    size = len(emit_report(run_request(parse_request(json.dumps(doc))), "structured"))
+    assert size < _BLOCK_CHARS
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "twistblocks.cli", "-",
+                             "--format", "structured"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        if fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 4096) + 64 >= size:
+            pytest.skip("the smallest pipe here holds the whole report")
+        proc.stdin.write(json.dumps(doc).encode())
+        proc.stdin.close()
+        assert os.read(proc.stdout.fileno(), 64).startswith(b"{")
+        proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2
     finally:

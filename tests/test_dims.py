@@ -1,6 +1,8 @@
 import itertools
 import math
 import operator
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import _WEIGHTSUM_DIM_CAP, _PointTable, _finalize, _table
+from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _PointTable, _finalize, _ratio,
+                             _table)
 from oracles import STANDARD_ROWS, signed_orbit_bfs, sl2_verlinde
 
 A1 = build_root_datum("A", 1)
@@ -325,6 +328,25 @@ def test_float_overflow_is_an_integrality_error():
     for raw in (math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
         with pytest.raises(IntegralityError, match="not finite"):
             _finalize(raw, "overflowed sum")
+
+
+def test_lattice_factor_is_the_rounded_rational():
+    # |T_c|^k / |T_c^sigma|^a as an int ratio is the float of the exact
+    # rational, also where both powers are far past the float range
+    rng = random.Random(29)
+    past = 0
+    for _ in range(400):
+        t, ts = rng.randrange(2, 10 ** 12), rng.randrange(2, 10 ** 12)
+        k, a = rng.randrange(0, 40), rng.randrange(0, 40)
+        try:
+            want = float(Fraction(t) ** k / Fraction(ts) ** a)
+        except OverflowError:
+            past += 1
+            with pytest.raises(IntegralityError, match="float range"):
+                _ratio(t ** k, ts ** a, "factor")
+        else:
+            assert _ratio(t ** k, ts ** a, "factor") == want, (t, ts, k, a)
+    assert 0 < past < 400
 
 
 def test_point_table_builds_ambient_exponents_when_read():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
                          build_root_datum)
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, kostka_numbers,
                      number_of_roots_classical, positive_coroots,
-                     roots_by_reflection, signed_orbit_bfs, weyl_order_classical)
+                     roots_by_reflection, signed_orbit_bfs, simple_root_lengths,
+                     weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -66,6 +68,11 @@ def test_cartan_invariants():
         assert np.all(np.linalg.eigvalsh(sym) > 0)
         # the normalized form gives the highest root squared length 2
         assert rd.form_value(rd.highest_root, rd.highest_root) == 2
+        # the symmetrizer: coprime ints, d_j proportional to |alpha_j|^2
+        d = rd._sym
+        assert all(type(x) is int and x > 0 for x in d) and math.gcd(*d) == 1
+        assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(r) for j in range(r))
+        assert [Fraction(x, max(d)) for x in d] == list(simple_root_lengths(a))
 
 
 def test_dual_coxeter_oracle():

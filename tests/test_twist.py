@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from twistblocks import (IllegalPair, NonDominant, NotInAlphabet, RootDatum,
-                         UnsupportedCombination, a2n_weight_bijection,
-                         branch_to_fixed, build_root_datum, build_twist,
-                         enumerate_sigma_c, twist_kind, weight_alphabet)
+from twistblocks import (IllegalPair, NonDominant, RootDatum,
+                         UnsupportedCombination, branch_to_fixed,
+                         build_root_datum, build_twist, enumerate_sigma_c,
+                         twist_kind, weight_alphabet)
 from twistblocks.twist import _branch_uncached
-from oracles import FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS
+from oracles import (FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS,
+                     coweight_point, rational_inverse)
 
 
 def tw(t, r, kind):
@@ -149,17 +150,22 @@ def test_exponents_are_integers_over_least_denominator():
         data = tw(t, r, kind)
         fixed, amb = data.fixed, data.ambient
         rmat = data.restriction_matrix.tolist()
-        points = [pt.xi for c in (1, 2, 3) if data.is_standard
-                  for pt in enumerate_sigma_c(data, c).points]
+        inv = rational_inverse(fixed.cartan)
+        points = [coweight_point(fixed.cartan, y) for c in (1, 2, 3) if data.is_standard
+                  for y in enumerate_sigma_c(data, c).points]
         for _ in range(40):
             q = rng.randrange(1, 3 * data.dual_coxeter)
             points.append(tuple(Fraction(rng.randrange(-q, 2 * q), q)
                                 for _ in range(fixed.rank)))
         for xi in points:
-            yf = [sum(fixed.cartan_inv[j][i] * Fraction(xi[j]) for j in range(fixed.rank))
+            yf = [sum(inv[j][i] * xi[j] for j in range(fixed.rank))
                   for i in range(fixed.rank)]
             ya = [sum(rmat[k][i] * yf[k] for k in range(fixed.rank)) for i in range(r)]
             _check_exponents(fixed, fixed.exponent_vector(xi), yf)
+            # the same point as integer numerators over one denominator
+            q = math.lcm(*(x.denominator for x in xi))
+            assert fixed.exponent_vector([int(x * q) for x in xi], q) \
+                == fixed.exponent_vector(xi)
             _check_exponents(amb, data.ambient_exponents(fixed.exponent_vector(xi)), ya)
 
 
@@ -232,29 +238,3 @@ def test_non_standard_row_is_structural_only():
     # but no alphabet, alcove, or dimension machinery accepts it
     with pytest.raises(UnsupportedCombination):
         weight_alphabet(data, 1)
-
-
-def test_a2n_weight_bijection():
-    a4 = tw("A", 4, "standard4")
-    # a = 0 at level 1 maps to c * w_n
-    assert a2n_weight_bijection(a4, 1, (0, 0)) == (0, 1)
-    # coordinate-wise formula at n = 2, c = 2
-    assert a2n_weight_bijection(a4, 2, (1, 0)) == (1, 2)
-    # a_n = 1 at c = 0 (formula check; the weight lies outside D_{0,sigma})
-    assert a2n_weight_bijection(a4, 0, (0, 1), check_alphabet=False) == (0, 2)
-    with pytest.raises(NotInAlphabet):
-        a2n_weight_bijection(a4, 0, (0, 1))
-    with pytest.raises(NotInAlphabet):
-        a2n_weight_bijection(a4, 1, (0, -1))
-    with pytest.raises(IllegalPair):
-        a2n_weight_bijection(tw("A", 3, "diagram2"), 1, (0, 0))
-
-
-def test_a2n_bijection_injective_and_dominant():
-    for (t, r) in [("A", 2), ("A", 4), ("A", 6)]:
-        data = tw(t, r, "standard4")
-        for c in (1, 2, 3, 4):
-            imgs = [a2n_weight_bijection(data, c, lam)
-                    for lam in weight_alphabet(data, c)]
-            assert len(set(imgs)) == len(imgs)
-            assert all(all(x >= 0 for x in im) for im in imgs)
