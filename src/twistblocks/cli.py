@@ -250,10 +250,9 @@ def run_request(req):
 
         def crow(tr):
             a, b, n = tr
-            res = twisted_three_point(ThreePointRequest(
-                twist=twist, level=c, lam=a, mu=b, nu=n))
-            kw, _ = kac_walton_dimension(ThreePointRequest(
-                twist=twist, level=c, lam=a, mu=b, nu=n))
+            r3 = ThreePointRequest(twist=twist, level=c, lam=a, mu=b, nu=n)
+            res = twisted_three_point(r3)
+            kw, _ = kac_walton_dimension(r3)
             return {"inputs": {"lambda": list(a), "mu": list(b), "nu": list(n)},
                     "value": res.value, "residual": res.residual,
                     "value_kac_walton": kw, "agree": kw == res.value}

@@ -5,13 +5,13 @@ factorization recursion."""
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
                      NotInAlphabet, UnstableInput)
-from .twist import ambient_alphabet, build_twist
+from .twist import (_check_ambient, _check_three_point, _check_twisted,
+                    ambient_alphabet, build_twist)
 from .util import memo, round_half_away, tree_sum
 
 _IMAG_TOL = 1e-7
@@ -77,93 +77,63 @@ def _finalize(raw, context, allow_negative=False):
     return DimensionResult(value=value, raw=raw, residual=residual)
 
 
-def _check_twisted(twist, c, lam, slot):
-    lam = tuple(map(int, lam))
-    if len(lam) != twist.fixed.rank or min(lam) < 0 \
-            or sum(map(operator.mul, twist.level_marks, lam)) > c:
-        raise NotInAlphabet(f"{slot} weight {lam} is not in D_{{{c},sigma}} "
-                            f"of {twist.fixed}")
-    return lam
-
-
-def _check_ambient(twist, c, nu, slot):
-    nu = tuple(map(int, nu))
-    rd = twist.ambient
-    if len(nu) != rd.rank or min(nu) < 0 \
-            or sum(map(operator.mul, rd.dual_marks, nu)) > c:
-        raise NotInAlphabet(f"{slot} weight {nu} is not in D_{c} of {rd}")
-    return nu
-
-
 # -- the torus points of one (ambient, twist, level), with values ----------
 
+class _Characters:
+    """The characters of one root datum at the exponent vectors ys, each as
+    one list over the points, and the point values every character shares.
+
+    Characters of dimension <= weight_cap are weight-multiplicity sums (exact
+    at any point); the rest are Weyl quotients.
+    """
+
+    def __init__(self, rd, ys, weight_cap):
+        self.rd = rd
+        self.ys = ys
+        self.weight_cap = weight_cap
+
+    @functools.cached_property
+    def weyl_den(self):
+        return self.rd.weyl_denominators(self.ys)
+
+    @functools.cached_property
+    def delta(self):
+        """prod over all roots of (e^alpha(t) - 1) = prod 4 sin^2(pi alpha(xi))."""
+        out = []
+        for y in self.ys:
+            total = 1.0
+            for p in self.rd.root_pairings(y):
+                if p % y.den == 0:
+                    raise AssertionError(f"point {y} is singular for {self.rd}")
+                total *= 4.0 * math.sin(math.pi * (p / y.den)) ** 2
+            out.append(total)
+        return out
+
+    @memo
+    def char(self, lam):
+        if self.rd.weyl_dimension(lam) <= self.weight_cap:
+            return self.rd.character_at_exponents(lam, self.ys, method="weights")
+        return self.rd.character_at_exponents(lam, self.ys, weyl_den=self.weyl_den)
+
+
 class _PointTable:
-    """Sigma_c for one twist and level, each point's exponent vectors,
-    and every value the point sums need as one list over the points."""
+    """Sigma_c for one twist and level, with the characters of the fixed
+    algebra and, once read, of the ambient one at its points.
+
+    The points are regular for both algebras, so every Delta is nonzero.
+    """
 
     def __init__(self, twist, c):
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
-        self.fixed_y = self.enum.points
+        # weight_cap 0: fixed characters are always Weyl quotients, whose
+        # rounding the reported residuals carry
+        self.fixed = _Characters(twist.fixed, self.enum.points, 0)
 
     @functools.cached_property
-    def ambient_y(self):
-        return [self.twist.ambient_exponents(y) for y in self.fixed_y]
-
-    @functools.cached_property
-    def fixed_weyl_den(self):
-        return self.twist.fixed.weyl_denominators(self.fixed_y)
-
-    @functools.cached_property
-    def ambient_weyl_den(self):
-        """{point index: Weyl denominator} over the ambient-regular points."""
-        rd = self.twist.ambient
-        regular = [k for k, y in enumerate(self.ambient_y) if rd.point_is_regular(y)]
-        return dict(zip(regular, rd.weyl_denominators(
-            [self.ambient_y[k] for k in regular])))
-
-    @memo
-    def fixed_char(self, lam):
-        return self.twist.fixed.character_at_exponents(
-            lam, self.fixed_y, weyl_den=self.fixed_weyl_den)
-
-    @memo
-    def ambient_char(self, nu):
-        rd = self.twist.ambient
-        ys = self.ambient_y
-        if rd.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
-            return rd.character_at_exponents(nu, ys, method="weights")
-        # the quotient at the ambient-regular points, weight sums elsewhere
-        dens = self.ambient_weyl_den
-        values = {}
-        if dens:
-            values = dict(zip(dens, rd.character_at_exponents(
-                nu, [ys[k] for k in dens], weyl_den=list(dens.values()))))
-        singular = [k for k in range(len(ys)) if k not in values]
-        if singular:
-            values.update(zip(singular, rd.character_at_exponents(
-                nu, [ys[k] for k in singular], method="weights")))
-        return [values[k] for k in range(len(ys))]
-
-    @functools.cached_property
-    def delta_sigma(self):
-        return [_delta_from_exponents(self.twist.fixed, y, "Delta_sigma")
-                for y in self.fixed_y]
-
-    @functools.cached_property
-    def delta(self):
-        return [_delta_from_exponents(self.twist.ambient, y, "Delta")
-                for y in self.ambient_y]
-
-
-def _delta_from_exponents(rd, y, context):
-    """prod over all roots of (e^alpha(t) - 1) = prod 4 sin^2(pi alpha(xi))."""
-    total = 1.0
-    for p in rd.root_pairings(y):
-        if p % y.den == 0:
-            raise AssertionError(f"{context}: point is singular for {rd}")
-        total *= 4.0 * math.sin(math.pi * (p / y.den)) ** 2
-    return total
+    def ambient(self):
+        ys = [self.twist.ambient_exponents(y) for y in self.enum.points]
+        return _Characters(self.twist.ambient, ys, _WEIGHTSUM_DIM_CAP)
 
 
 @memo
@@ -179,11 +149,11 @@ def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
     multiplied in one fixed order and the terms are tree-summed, so the
     results are reproducible bit for bit.
     """
-    columns = ([table.fixed_char(lam) for lam in fixed]
-               + [table.ambient_char(nu) for nu in ambient])
+    columns = ([table.fixed.char(lam) for lam in fixed]
+               + [table.ambient.char(nu) for nu in ambient])
     try:
-        ds = [x ** a for x in table.delta_sigma] if a else None
-        d = [x ** (-dexp) for x in table.delta] if dexp else None
+        ds = [x ** a for x in table.fixed.delta] if a else None
+        d = [x ** (-dexp) for x in table.ambient.delta] if dexp else None
     except OverflowError:
         raise IntegralityError("a point-sum Delta power exceeds the float range") from None
     terms = []
@@ -238,15 +208,8 @@ def classical_verlinde(rd, c, g, weights):
 
 def twisted_three_point(req):
     """N(sigma; lam, mu, nu) by the twisted Verlinde sum."""
-    twist, c = req.twist, req.level
-    twist._require_standard("the twisted Verlinde formula")
-    if twist.kind.tag == "identity":
-        raise NotInAlphabet("three-point twisted dimension needs a "
-                            "nontrivial twist")
-    lam = _check_twisted(twist, c, req.lam, "lambda")
-    mu = _check_twisted(twist, c, req.mu, "mu")
-    nu = _check_ambient(twist, c, req.nu, "nu")
-    table = _table(twist, c)
+    lam, mu, nu = _check_three_point(req, "the twisted Verlinde formula")
+    table = _table(req.twist, req.level)
     raw = _point_sum(table, fixed=(lam, mu), ambient=(nu,), a=1) \
         / table.enum.order_Tsigma
     return _finalize(raw, f"N(sigma;{lam},{mu},{nu})")

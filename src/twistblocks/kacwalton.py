@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alcove import fold_to_alcove
-from .dims import _check_ambient, _check_twisted
-from .errors import NotInAlphabet
-from .twist import branch_to_fixed
+from .twist import _check_three_point, branch_to_fixed
 from .util import memo
 
 
@@ -18,7 +16,7 @@ class KWContribution:
     eta: tuple                 # dominant tensor constituent
     multiplicity: int
     sign: Optional[int]        # None when the constituent folds onto a wall
-    matched: bool              # fold landed on the requested lambda
+    weight: Optional[tuple]    # alcove weight of the fold; None on a wall
     length_parity: int = 0
 
 
@@ -28,31 +26,30 @@ class KWLedger:
     total: int
 
 
-def _validated(req):
-    twist, c = req.twist, req.level
-    twist._require_standard("the Kac-Walton recursion")
-    if twist.kind.tag == "identity":
-        raise NotInAlphabet("Kac-Walton pipeline needs a nontrivial twist")
-    lam = _check_twisted(twist, c, req.lam, "lambda")
-    mu = _check_twisted(twist, c, req.mu, "mu")
-    nu = _check_ambient(twist, c, req.nu, "nu")
-    return twist, c, lam, mu, nu
-
-
 @memo
 def _folded(twist, c, mu, nu):
-    """Sorted (kappa, multiplicity, fold) over the constituents kappa of
-    V(mu) (x) Res V(nu), each folded into the level-c alcove.
+    """The contributions of the constituents kappa of V(mu) (x) Res V(nu),
+    sorted by kappa and each folded into the level-c alcove, and the signed
+    total of the folds at every alcove weight they reach.
 
-    Nothing here depends on lambda, so one decomposition serves every row
-    with this (mu, nu).
+    Nothing here depends on lambda, so one ledger serves every row with
+    this (mu, nu).
     """
     tensor = {}
     for eta_b, b in branch_to_fixed(twist, nu).items():
         for kappa, m in twist.fixed.tensor_multiplicities(mu, eta_b).items():
             tensor[kappa] = tensor.get(kappa, 0) + b * m
-    return tuple((kappa, tensor[kappa], fold_to_alcove(twist, c, kappa))
-                 for kappa in sorted(tensor))
+    contributions = []
+    totals = {}
+    for kappa in sorted(tensor):
+        m = tensor[kappa]
+        fold = fold_to_alcove(twist, c, kappa)
+        if fold.weight is not None:
+            totals[fold.weight] = totals.get(fold.weight, 0) + fold.sign * m
+        contributions.append(KWContribution(
+            eta=kappa, multiplicity=m, sign=fold.sign, weight=fold.weight,
+            length_parity=fold.length_parity))
+    return tuple(contributions), totals
 
 
 def kac_walton_dimension(req):
@@ -60,26 +57,20 @@ def kac_walton_dimension(req):
 
     Steps: branch nu to the fixed subalgebra; tensor with V(mu); fold every
     dominant constituent under the star action of W^sigma x (c+h)M; sum
-    sign * multiplicity over the folds that land on lambda.  The first three
-    steps are cached per (mu, nu).
+    sign * multiplicity over the folds that land on lambda.  The ledger and
+    the totals are built once per (mu, nu) and shared by every lambda.
     """
-    twist, c, lam, mu, nu = _validated(req)
-    contributions = []
-    total = 0
-    for kappa, m, fold in _folded(twist, c, mu, nu):
-        matched = fold.status != "wall" and fold.weight == lam
-        if matched:
-            total += fold.sign * m
-        contributions.append(KWContribution(
-            eta=kappa, multiplicity=m, sign=fold.sign, matched=matched,
-            length_parity=fold.length_parity))
-    return total, KWLedger(contributions=tuple(contributions), total=total)
+    lam, mu, nu = _check_three_point(req, "the Kac-Walton recursion")
+    contributions, totals = _folded(req.twist, req.level, mu, nu)
+    total = totals.get(lam, 0)
+    return total, KWLedger(contributions=contributions, total=total)
 
 
 def euler_characteristic_report(req):
     """Readable per-parity breakdown of the alternating sum."""
     total, ledger = kac_walton_dimension(req)
     twist = req.twist
+    lam = tuple(map(int, req.lam))
     header = (f"Kac-Walton ledger: ({twist.ambient.lie_type}{twist.ambient.rank}, "
               f"{twist.kind.tag}), c={req.level}, lambda={req.lam}, "
               f"mu={req.mu}, nu={req.nu}")
@@ -88,7 +79,7 @@ def euler_characteristic_report(req):
     for con in ledger.contributions:
         if con.sign is None:
             walls += 1
-        elif con.matched:
+        elif con.weight == lam:
             by_parity[con.length_parity] += con.sign * con.multiplicity
     lines = [header]
     for p in (0, 1):

@@ -2,11 +2,13 @@
 weight restriction and branching, twisted level alphabets."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalPair, NonDominant, UnsupportedCombination
+from .errors import (IllegalPair, NonDominant, NotInAlphabet,
+                     UnsupportedCombination)
 from .liecore import Exponents, RootDatum, build_root_datum
 from .util import memo
 
@@ -86,9 +88,7 @@ class TwistData:
     lattice_M: tuple                      # basis vectors of the translation lattice M in
                                           # fixed-weight coords; nu(Q^vee) for the identity
     theta_sigma: tuple                    # weight of the fixed algebra
-    theta_check_sigma: tuple              # coweight coords of theta^vee_sigma
     level_marks: tuple                    # (lambda, theta^vee_sigma) = level_marks . lambda
-    a0: int
     is_standard: bool
 
     @property
@@ -173,31 +173,24 @@ def _twist(ambient, kind):
         theta_sigma = tuple(x // 2 for x in theta_l)
         marks = tuple(2 * x for x in _coroot_coords_of_dual(fixed, theta_l))
         lattice = [tuple(int(i == j) for i in range(frank)) for j in range(frank)]
-        a0 = 2
     else:
         theta_sigma = fixed.highest_short_root
         marks = _coroot_coords_of_dual(fixed, theta_sigma)
         lattice = [tuple(int(x) for x in fixed.cartan[:, j]) for j in range(frank)]
-        a0 = 1
 
     if standard:
         assert sum(marks) == ambient.dual_coxeter - 1, \
             "(rho_sigma, theta_check_sigma) must equal h-check - 1"
 
-    theta_check = tuple(int(sum(m * int(fixed.cartan[i][j]) for i, m in enumerate(marks)))
-                        for j in range(frank))
     return TwistData(ambient=ambient, kind=kind, fixed=fixed,
                      restriction_matrix=rmat, lattice_M=tuple(lattice),
-                     theta_sigma=theta_sigma, theta_check_sigma=theta_check,
-                     level_marks=marks, a0=a0, is_standard=standard)
+                     theta_sigma=theta_sigma, level_marks=marks,
+                     is_standard=standard)
 
 
 def _identity_twist(ambient):
-    n = ambient.rank
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(ambient.rank, dtype=np.int64)
     marks = ambient.dual_marks
-    theta_check = tuple(int(sum(m * int(ambient.cartan[i][j]) for i, m in enumerate(marks)))
-                        for j in range(n))
     # translation lattice of the classical torus: nu(Q^vee), the span of the
     # long roots, with basis nu(alpha_j^vee) = alpha_j max(d) / d_j
     top = max(ambient._sym)
@@ -206,8 +199,8 @@ def _identity_twist(ambient):
     assert sum(marks) == ambient.dual_coxeter - 1
     return TwistData(ambient=ambient, kind=IDENTITY, fixed=ambient,
                      restriction_matrix=eye, lattice_M=lattice,
-                     theta_sigma=ambient.highest_root, theta_check_sigma=theta_check,
-                     level_marks=marks, a0=1, is_standard=True)
+                     theta_sigma=ambient.highest_root, level_marks=marks,
+                     is_standard=True)
 
 
 @dataclass(frozen=True)
@@ -264,6 +257,38 @@ def ambient_alphabet(twist, c):
     """D_c of the ambient algebra (the untwisted level alphabet)."""
     marks = [int(m) for m in twist.ambient.dual_marks]
     return tuple(_bounded_lex(marks, c))
+
+
+def _check_twisted(twist, c, lam, slot):
+    """lam as a tuple of ints, if it is in D_{c,sigma}; NotInAlphabet if not."""
+    lam = tuple(map(int, lam))
+    if len(lam) != twist.fixed.rank or min(lam) < 0 \
+            or sum(map(operator.mul, twist.level_marks, lam)) > c:
+        raise NotInAlphabet(f"{slot} weight {lam} is not in D_{{{c},sigma}} "
+                            f"of {twist.fixed}")
+    return lam
+
+
+def _check_ambient(twist, c, nu, slot):
+    """nu as a tuple of ints, if it is in D_c; NotInAlphabet if not."""
+    nu = tuple(map(int, nu))
+    rd = twist.ambient
+    if len(nu) != rd.rank or min(nu) < 0 \
+            or sum(map(operator.mul, rd.dual_marks, nu)) > c:
+        raise NotInAlphabet(f"{slot} weight {nu} is not in D_{c} of {rd}")
+    return nu
+
+
+def _check_three_point(req, what):
+    """(lam, mu, nu) of a three-point request: a standard nontrivial twist,
+    lam and mu in D_{c,sigma}, nu in D_c.  `what` names the computation."""
+    twist, c = req.twist, req.level
+    twist._require_standard(what)
+    if twist.kind.tag == "identity":
+        raise NotInAlphabet(f"{what} needs a nontrivial twist")
+    return (_check_twisted(twist, c, req.lam, "lambda"),
+            _check_twisted(twist, c, req.mu, "mu"),
+            _check_ambient(twist, c, req.nu, "nu"))
 
 
 def branch_to_fixed(twist, nu):

@@ -106,7 +106,7 @@ def test_acceptance_4_orthogonality():
         data = tw(t, r, "identity")
         for c in (1, 2, 3):
             table = _table(data, c)
-            enum, chi, delta = table.enum, table.fixed_char, table.delta
+            enum, chi, delta = table.enum, table.fixed.char, table.ambient.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:
                 for nup in dc:

@@ -17,7 +17,8 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          weight_alphabet)
 from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _PointTable, _finalize, _ratio,
                              _table)
-from oracles import STANDARD_ROWS, signed_orbit_bfs, sl2_verlinde
+from oracles import (STANDARD_ROWS, roots_by_reflection, signed_orbit_bfs,
+                     sl2_verlinde)
 
 A1 = build_root_datum("A", 1)
 
@@ -79,7 +80,7 @@ def test_untwisted_orthogonality_both_forms():
         data = build_twist(rd, "identity")
         for c in (1, 2, 3):
             table = _table(data, c)
-            enum, chi, delta = table.enum, table.fixed_char, table.delta
+            enum, chi, delta = table.enum, table.fixed.char, table.ambient.delta
             dc = ambient_alphabet(data, c)
             for nu in dc:
                 for nup in dc:
@@ -353,12 +354,32 @@ def test_point_table_builds_ambient_exponents_when_read():
     # fusion coefficients and classical sums read no ambient character
     data = tw("A", 3, "diagram2")
     table = _PointTable(data, 2)
-    table.fixed_char((1, 0))
-    table.delta_sigma
-    assert "ambient_y" not in vars(table)
-    chi = table.ambient_char((1, 0, 0))
-    assert "ambient_y" in vars(table)
-    assert chi == _table(data, 2).ambient_char((1, 0, 0))
+    table.fixed.char((1, 0))
+    table.fixed.delta
+    assert "ambient" not in vars(table)
+    chi = table.ambient.char((1, 0, 0))
+    assert "ambient" in vars(table)
+    assert chi == _table(data, 2).ambient.char((1, 0, 0))
+
+
+def test_sigma_c_points_are_regular_for_the_ambient_algebra():
+    # no root of g takes an integral value at a point of Sigma_c, so the
+    # ambient Weyl quotient and Delta never meet a singular point; the
+    # roots come from the Cartan-matrix search, the ambient exponents from
+    # y_g = R^T y_fixed in Fractions
+    for (t, r, kind) in STANDARD_ROWS:
+        data = tw(t, r, kind)
+        rmat = data.restriction_matrix.tolist()
+        roots = roots_by_reflection(data.ambient.cartan)
+        for c in (1, 2, 3):
+            table = _PointTable(data, c)
+            for y, yg in zip(table.enum.points, table.ambient.ys):
+                expect = [sum(Fraction(rmat[i][k] * y.num[i], y.den)
+                              for i in range(len(rmat))) for k in range(r)]
+                assert [Fraction(x, yg.den) for x in yg.num] == expect
+                for root in roots:
+                    pairing = sum(a * v for a, v in zip(root, expect))
+                    assert pairing.denominator != 1, (t, r, kind, c, y, root)
 
 
 def _phase_count_sum(multiset, y):
@@ -393,22 +414,21 @@ def test_batched_characters_match_per_point_reference():
         fixed, amb = data.fixed, data.ambient
         for c in (1, 2, 3):
             table = _PointTable(data, c)
-            weyl_den = _alternant_reference(fixed, fixed.rho, table.fixed_y)
+            weyl_den = _alternant_reference(fixed, fixed.rho, table.fixed.ys)
             for lam in weight_alphabet(data, c).members:
-                assert table.fixed_char(lam) == _quotient_reference(
-                    fixed, lam, table.fixed_y, weyl_den)
+                assert table.fixed.char(lam) == _quotient_reference(
+                    fixed, lam, table.fixed.ys, weyl_den)
             for nu in ambient_alphabet(data, c):
                 # above the cap only E6 weights at c = 3, beyond the search
                 # oracle; the next test covers the ambient quotient
                 if amb.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
-                    assert table.ambient_char(nu) == [
+                    assert table.ambient.char(nu) == [
                         _phase_count_sum(amb.weight_system(nu), y)
-                        for y in table.ambient_y]
+                        for y in table.ambient.ys]
 
 
 def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
     # every ambient character through the quotient, where the oracle reaches
-    monkeypatch.setattr("twistblocks.dims._WEIGHTSUM_DIM_CAP", 0)
     for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         amb = data.ambient
@@ -416,10 +436,11 @@ def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
             continue
         for c in (1, 2):
             table = _PointTable(data, c)
-            weyl_den = _alternant_reference(amb, amb.rho, table.ambient_y)
+            monkeypatch.setattr(table.ambient, "weight_cap", 0)
+            weyl_den = _alternant_reference(amb, amb.rho, table.ambient.ys)
             for nu in ambient_alphabet(data, c):
-                assert table.ambient_char(nu) == _quotient_reference(
-                    amb, nu, table.ambient_y, weyl_den)
+                assert table.ambient.char(nu) == _quotient_reference(
+                    amb, nu, table.ambient.ys, weyl_den)
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------

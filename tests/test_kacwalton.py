@@ -1,5 +1,9 @@
+import ast
+import os
+
 import pytest
 
+import twistblocks
 from twistblocks import (NotInAlphabet, ThreePointRequest,
                          UnsupportedCombination, ambient_alphabet,
                          branch_to_fixed, build_root_datum, build_twist,
@@ -25,7 +29,7 @@ def test_vacuum_ledger():
     assert len(ledger.contributions) == 1
     con = ledger.contributions[0]
     assert con.eta == (0, 0) and con.multiplicity == 1
-    assert con.sign == 1 and con.matched
+    assert con.sign == 1 and con.weight == (0, 0)
     assert ledger.total == 1
 
 
@@ -36,7 +40,7 @@ def test_tensor_unit_with_vacuum_nu():
         for lam in weight_alphabet(data, 1):
             total, ledger = kac_walton_dimension(req(data, 1, lam, lam, za))
             assert total == 1
-            assert [c.eta for c in ledger.contributions if c.matched] == [lam]
+            assert [c.eta for c in ledger.contributions if c.weight == lam] == [lam]
 
 
 def test_exhaustive_agreement_with_verlinde_table():
@@ -105,12 +109,11 @@ def direct_ledger(data, c, lam, mu, nu):
     total = 0
     for kappa in sorted(tensor):
         fold = fold_to_alcove(data, c, kappa)
-        matched = fold.status == "interior" and fold.weight == lam
-        if matched:
+        if fold.status == "interior" and fold.weight == lam:
             total += fold.sign * tensor[kappa]
         contributions.append(KWContribution(
             eta=kappa, multiplicity=tensor[kappa], sign=fold.sign,
-            matched=matched, length_parity=fold.length_parity))
+            weight=fold.weight, length_parity=fold.length_parity))
     return total, KWLedger(contributions=tuple(contributions), total=total)
 
 
@@ -130,6 +133,49 @@ def test_cached_decomposition_matches_direct_ledger():
                     assert got == direct_ledger(data, c, lam, mu, nu)
 
 
+def test_rows_of_one_mu_nu_share_one_ledger():
+    # every lambda row of a (mu, nu) holds the same contributions tuple, and
+    # its total is the one a from-scratch ledger gives
+    for (t, r, kind, c) in [("A", 3, "diagram2", 3), ("A", 4, "standard4", 2),
+                            ("D", 4, "diagram2", 2)]:
+        data = tw(t, r, kind)
+        alphabet = weight_alphabet(data, c).members
+        for mu in alphabet:
+            for nu in ambient_alphabet(data, c):
+                ledgers = [kac_walton_dimension(req(data, c, lam, mu, nu))
+                           for lam in alphabet]
+                shared = ledgers[0][1].contributions
+                for lam, (total, ledger) in zip(alphabet, ledgers):
+                    assert ledger.contributions is shared
+                    want, _ = direct_ledger(data, c, lam, mu, nu)
+                    assert total == ledger.total == want, (t, r, kind, c, lam, mu, nu)
+
+
+def _package_imports(module):
+    """The twistblocks modules that `module` imports, directly or not, read
+    from the sources' relative imports."""
+    src = os.path.dirname(twistblocks.__file__)
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        with open(os.path.join(src, f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                dep = node.module.split(".")[0]
+                if dep not in seen:
+                    seen.add(dep)
+                    todo.append(dep)
+    return seen
+
+
+def test_kacwalton_does_not_import_dims():
+    # the two pipelines share no code that could make them agree by construction
+    deps = _package_imports("kacwalton")
+    assert {"alcove", "twist"} <= deps
+    assert "dims" not in deps
+
+
 def test_wall_contributions_recorded():
     # (A3/diagram2, c=1): V(w1) (x) V(w1|) has two wall constituents and
     # an interior vacuum; matching lambda = w1 leaves a zero total
@@ -138,7 +184,7 @@ def test_wall_contributions_recorded():
     assert total == 0
     walls = [c for c in ledger.contributions if c.sign is None]
     assert len(walls) == 2
-    assert not any(c.matched for c in ledger.contributions)
+    assert not any(c.weight == (1, 0) for c in ledger.contributions)
 
 
 def test_scope_errors():

@@ -27,7 +27,7 @@ def test_twist_examples():
     assert tw("A", 3, "diagram2").fixed.lie_type == "C"
     assert tw("D", 4, "diagram3").fixed.lie_type == "G"
     a4 = tw("A", 4, "standard4")
-    assert (a4.fixed.lie_type, a4.fixed.rank, a4.a0) == ("C", 2, 2)
+    assert (a4.fixed.lie_type, a4.fixed.rank) == ("C", 2)
     for (t, r, kind) in STANDARD_ROWS:
         assert tw(t, r, kind).is_standard
     assert not tw("A", 4, "diagram2").is_standard
@@ -58,8 +58,9 @@ def test_level_marks_against_frozen_table():
 
 
 def test_theta_check_direction():
-    # theta_check_sigma is the coroot of theta_sigma: under the normalized
-    # form, nu(theta_check) = 2 theta_sigma / <theta_sigma, theta_sigma>
+    # the level marks are the simple-coroot coordinates of theta_check_sigma,
+    # the coroot of theta_sigma: under the normalized form, its weight
+    # coordinates sum_i m_i cartan[i][j] are 2 theta_sigma / <theta_sigma, theta_sigma>
     for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         fixed = data.fixed
@@ -67,7 +68,9 @@ def test_theta_check_direction():
         for j in range(fixed.rank):
             alpha_j = tuple(int(x) for x in fixed.cartan[:, j])
             expected = 2 * fixed.form_value(alpha_j, data.theta_sigma) / nrm
-            assert Fraction(int(data.theta_check_sigma[j])) == expected
+            theta_check_j = sum(m * int(fixed.cartan[i][j])
+                                for i, m in enumerate(data.level_marks))
+            assert Fraction(theta_check_j) == expected
         # and the alcove identity (rho_sigma, theta_check) = h-check - 1
         assert sum(data.level_marks) == data.ambient.dual_coxeter - 1
 
