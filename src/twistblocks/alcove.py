@@ -62,13 +62,13 @@ def _points(twist, c):
     """
     fixed = twist.fixed
     tag = twist.kind.tag
-    top = max(fixed._sym)
+    top = max(fixed.symmetrizer)
     if tag in ("diagram2", "diagram3"):
         labels = _bounded_lex([int(m) for m in fixed.marks], c)
         scale = [top] * fixed.rank
     else:
         labels = weight_alphabet(twist, c).members
-        scale = [(2 if tag == "standard4" else 1) * d for d in fixed._sym]
+        scale = [(2 if tag == "standard4" else 1) * d for d in fixed.symmetrizer]
     den = twist.shifted_level(c) * top
     return [fixed.exponent_vector([s * (x + 1) for s, x in zip(scale, lab)], den)
             for lab in labels]

@@ -277,11 +277,6 @@ def report_ok(rep, tolerance):
     return True
 
 
-# a report is written in blocks of about this many characters (one byte
-# each: the text is ASCII), so its whole text is never held at once
-_BLOCK_CHARS = 1 << 16
-
-
 def _json_text(o, nl):
     """json.dumps(o, sort_keys=True, indent=2) for a value nested in a
     document: `nl` is a newline and the indent of the value's own line.
@@ -337,19 +332,6 @@ def _structured_parts(rep):
     yield "\n}\n"
 
 
-def _blocks(parts):
-    """Join consecutive parts into blocks of _BLOCK_CHARS or a little more."""
-    block, size = [], 0
-    for part in parts:
-        block.append(part)
-        size += len(part)
-        if size >= _BLOCK_CHARS:
-            yield "".join(block)
-            block, size = [], 0
-    if block:
-        yield "".join(block)
-
-
 def _table_lines(rep):
     """The table form, one line at a time; its widths need every row first."""
     keys = []
@@ -379,9 +361,9 @@ def _table_lines(rep):
 def emit_report(rep, out_format, out=None):
     """Render a Report; the structured form is byte-deterministic.
 
-    With `out`, the text is written to it in blocks of about _BLOCK_CHARS,
-    one `write` each, and nothing is returned; without, it is returned as
-    one string.
+    With `out`, the text is written to it one part at a time (a row, or
+    the text between rows), so its whole text is never held at once, and
+    nothing is returned; without, it is returned as one string.
 
     Wall-clock timing is deliberately serialized as null so identical
     requests produce identical bytes across runs.
@@ -394,8 +376,8 @@ def emit_report(rep, out_format, out=None):
         raise SchemaError(f"unknown output format {out_format!r}")
     if out is None:
         return "".join(parts)
-    for block in _blocks(parts):
-        out.write(block)
+    for part in parts:
+        out.write(part)
 
 
 def parse_report(text):

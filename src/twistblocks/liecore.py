@@ -16,6 +16,7 @@ Conventions used throughout the package
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,9 +28,6 @@ from .util import integer_inverse, memo
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
               "E": (6, 6), "F": (4, 4), "G": (2, 2)}
-
-# numeric guard for character denominators, scaled by |W| (see module docs)
-_SINGULAR_TOL = 1e-8
 
 # orbit rows x points in one _phase_sums block: its int64 phases and float64
 # weights stay at 256 KiB each, well below an orbit walk's own temporaries
@@ -64,6 +62,24 @@ def _cartan_matrix(lie_type, rank):
         a[0, 1] = -1
         a[1, 0] = -3
     return a
+
+
+def _symmetrizer(a):
+    """Coprime integers d_i with d_i a_ij = d_j a_ji; the long roots get
+    the largest."""
+    n = len(a)
+    d = [None] * n
+    # each a_ij / a_ji is 1, 2, 3, 1/2 or 1/3, and only one differs from 1
+    d[0] = 6
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if a[i][j] != 0 and i != j and d[j] is None:
+                d[j] = d[i] * a[i][j] // a[j][i]
+                todo.append(j)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class Exponents(NamedTuple):
@@ -101,95 +117,69 @@ class RootDatum:
         self.rho = tuple([1] * rank)
         self.rho_check = tuple([1] * rank)
 
-        self._sym = self._symmetrizer()
+        self.symmetrizer = _symmetrizer(self.cartan.tolist())
         # form on weight coordinates: F[i][j] = d_i (A^{-1})[i][j] / max(d),
         # in lowest terms
-        num = [[d * x for x in row] for d, row in zip(self._sym, self._cinv_num)]
-        den = max(self._sym) * self._cinv_den
+        num = [[d * x for x in row] for d, row in zip(self.symmetrizer, self._cinv_num)]
+        den = max(self.symmetrizer) * self._cinv_den
         g = math.gcd(den, *(x for row in num for x in row))
         self._form_num = [[x // g for x in row] for row in num]
         self._form_den = den // g
+        # <w, rho^vee> det A = sum_j w_j (column sum j of the adjugate)
+        self._heights = tuple(sum(col) for col in zip(*self._cinv_num))
 
         self._build_roots()
         self._build_theta_data()
 
     # -- static data -------------------------------------------------
 
-    def _symmetrizer(self):
-        """Coprime integers d_i with d_i a_ij = d_j a_ji; the long roots get
-        the largest."""
+    def _build_roots(self):
+        """Positive roots: the simple roots closed under the simple
+        reflections that raise them, s_i b = b - <b, alpha_i^vee> alpha_i
+        for <b, alpha_i^vee> < 0.  Every other positive root b has some
+        <b, alpha_i^vee> > 0, and s_i b is then a lower positive root
+        (Humphreys, Introduction to Lie Algebras, 10.2-10.3)."""
         n = self.rank
         a = self.cartan.tolist()
-        d = [None] * n
-        # each a_ij / a_ji is 1, 2, 3, 1/2 or 1/3, and only one differs from 1
-        d[0] = 6
-        todo = [0]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if a[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * a[i][j] // a[j][i]
-                    todo.append(j)
-        g = math.gcd(*d)
-        return tuple(x // g for x in d)
-
-    def _build_roots(self):
-        """Positive roots by the standard root-string closure."""
-        n = self.rank
-        a = self.cartan
-        found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        levels = [sorted(found)]
-        while True:
-            new = set()
-            for beta in levels[-1]:
-                omega = a @ np.array(beta)    # omega coords of beta
-                for i in range(n):
-                    cand = list(beta)
-                    cand[i] += 1
-                    cand = tuple(cand)
-                    if cand in found or cand in new:
-                        continue
-                    p = 0
-                    down = list(beta)
-                    while True:
-                        down[i] -= 1
-                        if any(x < 0 for x in down) or tuple(down) not in found:
-                            break
-                        p += 1
-                    if p - omega[i] >= 1:
-                        new.add(cand)
-            if not new:
-                break
-            found |= new
-            levels.append(sorted(new))
+        todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        found = set(todo)
+        for beta in todo:     # simple-root coordinates
+            for i, row in enumerate(a):
+                p = sum(map(operator.mul, row, beta))
+                if p < 0:
+                    up = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        todo.append(up)
         alpha = np.array(sorted(found, key=lambda r: (sum(r), r)), dtype=np.int64)
         self.positive_roots_alpha = alpha
         self.positive_roots = alpha @ self.cartan.T
 
     def _build_theta_data(self):
+        # the roots go up in height, and theta is the one highest
         pr = self.positive_roots
-        pa = self.positive_roots_alpha
-        heights = pa.sum(axis=1)
-        self.highest_root = tuple(int(x) for x in pr[np.argmax(heights)])
-        self.marks = tuple(int(x) for x in pa[np.argmax(heights)])
+        self.highest_root = tuple(int(x) for x in pr[-1])
+        self.marks = tuple(int(x) for x in self.positive_roots_alpha[-1])
 
         # <r, .> scaled by form_den, as integer rows, and <r, r> scaled alike
         fr = pr @ np.array(self._form_num, dtype=np.int64).T
         norms = (fr * pr).sum(axis=1)
         assert norms.max() == 2 * self._form_den, \
             "normalized form must give <theta,theta> = 2"
+        # per positive root: (r, F r, <r, r>) as ints, so that <x, r> scaled
+        # by form_den is x . F r
+        self._root_forms = tuple(zip(map(tuple, pr.tolist()), fr.tolist(),
+                                     norms.tolist()))
+        # the last short root is the highest one; simply laced, every root
+        # counts as long
         shorts = [i for i, nm in enumerate(norms) if nm < 2 * self._form_den]
-        if shorts:
-            hs = max(shorts, key=lambda i: heights[i])
-            self.highest_short_root = tuple(int(x) for x in pr[hs])
-        else:
-            # simply laced: every root counts as long
-            self.highest_short_root = self.highest_root
+        self.highest_short_root = tuple(int(x) for x in pr[shorts[-1]]) \
+            if shorts else self.highest_root
 
         # coroot of theta in the simple-coroot basis -> dual Kac labels
         # (A^T)^{-1} m with m_j = d_j theta_j / max(d), from the adjugate
-        mvec = [d * x for d, x in zip(self._sym, self.highest_root)]
-        scale = max(self._sym) * self._cinv_den
+        mvec = [d * x for d, x in zip(self.symmetrizer, self.highest_root)]
+        scale = max(self.symmetrizer) * self._cinv_den
         dm = [sum(row[i] * m for row, m in zip(self._cinv_num, mvec))
               for i in range(self.rank)]
         assert all(x % scale == 0 for x in dm)
@@ -241,6 +231,11 @@ class RootDatum:
         den *= self._cinv_den * scale
         g = math.gcd(den, *num)
         return Exponents(tuple(x // g for x in num), den // g)
+
+    def height(self, w):
+        """<w, rho^vee> det A as an int: the height of w (the sum of its
+        simple-root coordinates), scaled by det A > 0 to stay integral."""
+        return sum(map(operator.mul, self._heights, w))
 
     def is_dominant(self, weight):
         return all(x >= 0 for x in weight)
@@ -404,36 +399,26 @@ class RootDatum:
         return dict(zip(map(tuple, vecs.tolist()), mults.tolist())), vecs, mults
 
     def _weight_system_uncached(self, lam):
-        def pairing_vector(v):
-            # F v, so that <x, v> scaled by form_den is the dot product x . F v
-            return [sum(f * x for f, x in zip(row, v)) for row in self._form_num]
-
-        def dot(x, y):
-            return sum(a * b for a, b in zip(x, y))
-
         def norm2(v):
-            return dot(v, pairing_vector(v))
-
-        roots = []
-        for r, ra in zip(self.positive_roots.tolist(), self.positive_roots_alpha.tolist()):
-            fr = pairing_vector(r)
-            roots.append((tuple(r), fr, dot(r, fr), sum(ra)))
+            # <v, v> scaled by form_den
+            return sum(x * sum(map(operator.mul, row, v))
+                       for x, row in zip(v, self._form_num))
 
         # The dominant weights of V(lambda) are the dominant mu <= lambda, and
         # each is reached from lambda through dominant weights, one positive
         # root at a time (Stembridge, "The partial order of dominant
-        # weights", 1998).  depth = height of lambda - mu.
-        depth = {lam: 0}
+        # weights", 1998).
+        seen = {lam}
         todo = [lam]
         for mu in todo:
-            for r, _, _, h in roots:
-                nu = tuple(x - y for x, y in zip(mu, r))
-                if nu not in depth and all(x >= 0 for x in nu):
-                    depth[nu] = depth[mu] + h
+            for r, _, _ in self._root_forms:
+                nu = tuple(map(operator.sub, mu, r))
+                if nu not in seen and min(nu) >= 0:
+                    seen.add(nu)
                     todo.append(nu)
-        order = sorted(depth, key=lambda mu: (depth[mu], mu))
+        order = sorted(seen, key=lambda mu: (-self.height(mu), mu))
 
-        # Freudenthal on the dominant weights only, by increasing depth, each
+        # Freudenthal on the dominant weights only, by decreasing height, each
         # mu + k r read at its dominant representative (as in Moody-Patera,
         # "Fast recursion formula for weight multiplicities", 1982).  That
         # representative lies strictly above mu, so it is done already.
@@ -443,13 +428,13 @@ class RootDatum:
             denom = top - norm2([m + 1 for m in mu])
             assert denom > 0
             acc = 0
-            for r, fr, rr, _ in roots:
+            for r, fr, rr in self._root_forms:
                 # <mu + k r, r> scaled by form_den, for k = 1, 2, ...; the
                 # r-string through mu has no gaps
-                pair = dot(mu, fr)
+                pair = sum(map(operator.mul, mu, fr))
                 up = mu
                 while True:
-                    up = tuple(x + y for x, y in zip(up, r))
+                    up = tuple(map(operator.add, up, r))
                     m = mult.get(self.dominant_rep(up), 0)
                     if not m:
                         break
@@ -520,16 +505,12 @@ class RootDatum:
     def weyl_denominators(self, ys):
         """The alternating sum over W of e^{w rho} at each point of ys.
 
-        Raises SingularPoint if a point lies on a root hyperplane or its
-        value is below the guard.
+        Raises SingularPoint if a point lies on a root hyperplane, the exact
+        test for a zero denominator.
         """
         if not all(self.point_is_regular(y) for y in ys):
             raise SingularPoint("point lies on a root hyperplane")
-        orbit, signs = self.signed_orbit(self.rho)
-        values = _phase_sums(orbit, signs, ys)
-        if any(abs(v) < _SINGULAR_TOL * len(orbit) for v in values):
-            raise SingularPoint("Weyl denominator below tolerance")
-        return values
+        return _phase_sums(*self.signed_orbit(self.rho), ys)
 
     def character_at_exponents(self, lam, ys, method="quotient", weyl_den=None):
         """chi_lambda at every point of the exponent list ys, as complex numbers.

@@ -176,7 +176,7 @@ def _twist(ambient, kind):
     else:
         theta_sigma = fixed.highest_short_root
         marks = _coroot_coords_of_dual(fixed, theta_sigma)
-        lattice = [tuple(int(x) for x in fixed.cartan[:, j]) for j in range(frank)]
+        lattice = fixed.simple_roots
 
     if standard:
         assert sum(marks) == ambient.dual_coxeter - 1, \
@@ -193,9 +193,9 @@ def _identity_twist(ambient):
     marks = ambient.dual_marks
     # translation lattice of the classical torus: nu(Q^vee), the span of the
     # long roots, with basis nu(alpha_j^vee) = alpha_j max(d) / d_j
-    top = max(ambient._sym)
+    top = max(ambient.symmetrizer)
     lattice = tuple(tuple(x * (top // d) for x in alpha)
-                    for alpha, d in zip(ambient.simple_roots, ambient._sym))
+                    for alpha, d in zip(ambient.simple_roots, ambient.symmetrizer))
     assert sum(marks) == ambient.dual_coxeter - 1
     return TwistData(ambient=ambient, kind=IDENTITY, fixed=ambient,
                      restriction_matrix=eye, lattice_M=lattice,
@@ -318,17 +318,10 @@ def _branch_uncached(twist, nu):
     remaining = {}
     for rw, m in zip(map(tuple, restricted.tolist()), ws.values()):
         remaining[rw] = remaining.get(rw, 0) + m
-    # heights are the column sums of A^{-1} = adj / det; det > 0, so the
-    # adjugate's column sums give the same order
-    hf = [sum(col) for col in zip(*fixed._cinv_num)]
-
-    def height(w):
-        return sum(h * x for h, x in zip(hf, w))
-
     # every other weight of V(eta) lies strictly below eta, so one pass from
     # the top sees each weight after all peels that reach it
     out = {}
-    for eta in sorted(remaining, key=lambda w: (height(w), w), reverse=True):
+    for eta in sorted(remaining, key=lambda w: (fixed.height(w), w), reverse=True):
         b = remaining[eta]
         if not b:
             continue

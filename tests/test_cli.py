@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
-from twistblocks.cli import (_BLOCK_CHARS, Report, emit_report, main, parse_report,
-                             parse_request, run_request)
+from twistblocks.cli import (Report, emit_report, main, parse_report, parse_request,
+                             run_request)
 from twistblocks.dims import _finalize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -255,6 +255,19 @@ def test_float_overflow_exits_1_without_traceback():
 
 
 
+def test_small_weyl_denominator_is_not_an_input_error(capsys, monkeypatch):
+    # (G2, identity) at c=120: some |Weyl denominator| at the regular points
+    # is tiny but exact regularity holds, so the row is answered: 7 (x) 14
+    # contains 64 once
+    doc = make_request(algebra={"type": "G", "rank": 2}, twist=_IDENTITY, level=120,
+                       computation="classical", genus_bar=0,
+                       weights={"ambient": [[1, 0], [0, 1], [1, 1]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["-", "--format", "structured"]) == 0
+    row, = json.loads(capsys.readouterr().out)["results"]
+    assert row["value"] == 1 and row["residual"] < 1e-5
+
+
 _IDENTITY = {"kind": "identity", "order": 1}
 _CURVE = dict(level=2, genus_bar=1, pairs=1,
               weights={"twisted": [[1, 0], [0, 1]], "ambient": [[1, 0, 0]]})
@@ -355,7 +368,7 @@ def test_structured_writer_edge_values(agreement):
         assert _first_difference(text, _json_oracle(rep)) is None
         _emitted(rep, "table")
         if results is rows:
-            assert len(text) > 3 * _BLOCK_CHARS
+            assert len(text) > 3 << 16
 
 
 class _RecordingStdout:
@@ -374,15 +387,17 @@ def test_main_writes_bounded_blocks(monkeypatch):
     doc = make_request(level=3, options={"format": "structured"})
     rep = run_request(parse_request(json.dumps(doc)))
     text = emit_report(rep, "structured")
-    # a row's text in the document: its separator and its extra indent
+    # a part's text in the document: a row with its separator and extra
+    # indent, or the request echo with its extra indent
     row_chars = max(len(json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    "))
                     + len(",\n    ") for r in rep.results)
+    echo_chars = len(json.dumps(rep.request, sort_keys=True, indent=2).replace("\n", "\n  "))
     out = _RecordingStdout()
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     monkeypatch.setattr("sys.stdout", out)
     assert main(["-"]) == 0
-    assert len(out.writes) > 2
-    assert max(len(w) for w in out.writes) <= _BLOCK_CHARS + row_chars
+    assert len(out.writes) > len(rep.results)
+    assert max(len(w) for w in out.writes) <= max(row_chars, echo_chars)
     assert _first_difference("".join(out.writes), text) is None
 
 
@@ -423,16 +438,17 @@ def test_closed_stdout_exits_2_without_traceback(unbuffered, doc, read_first):
 
 @pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
 def test_reader_leaving_during_a_write_exits_2(unbuffered):
-    # The report is one block, one write, larger than the one-page pipe:
-    # the reader takes 64 bytes and leaves while that write is blocked, so
-    # the write returns a short count.  It must be retried and fail, not
-    # end in truncated stdout and exit 0.
+    # The report is about 15 kB, and the buffered report stream's first
+    # write (some 8 kB) is larger than the one-page pipe: the reader takes
+    # 64 bytes and leaves while that write is blocked, so it returns a short
+    # count.  It must be retried and fail, not end in truncated stdout and
+    # exit 0.
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("pipe size cannot be set here")
     doc = make_request()
     size = len(emit_report(run_request(parse_request(json.dumps(doc))), "structured"))
-    assert size < _BLOCK_CHARS
+    assert size < 1 << 16
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
            "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.Popen([sys.executable, "-m", "twistblocks.cli", "-",

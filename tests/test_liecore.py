@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import Matrix
 
 from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
                          build_root_datum)
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, kostka_numbers,
                      number_of_roots_classical, positive_coroots,
                      roots_by_reflection, signed_orbit_bfs, simple_root_lengths,
-                     weyl_order_classical)
+                     solve_rational, weyl_order_classical)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -62,14 +63,14 @@ def test_cartan_invariants():
         assert all(a[i][i] == 2 for i in range(r))
         assert all(a[i][j] <= 0 for i in range(r) for j in range(r) if i != j)
         # finite type: the symmetrization d_i a_ij is positive definite
-        sym = np.array([[float(rd._sym[i] * a[i][j]) for j in range(r)]
+        sym = np.array([[float(rd.symmetrizer[i] * a[i][j]) for j in range(r)]
                         for i in range(r)])
         assert np.allclose(sym, sym.T)
         assert np.all(np.linalg.eigvalsh(sym) > 0)
         # the normalized form gives the highest root squared length 2
         assert rd.form_value(rd.highest_root, rd.highest_root) == 2
         # the symmetrizer: coprime ints, d_j proportional to |alpha_j|^2
-        d = rd._sym
+        d = rd.symmetrizer
         assert all(type(x) is int and x > 0 for x in d) and math.gcd(*d) == 1
         assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(r) for j in range(r))
         assert [Fraction(x, max(d)) for x in d] == list(simple_root_lengths(a))
@@ -116,6 +117,23 @@ def test_signed_orbit_rows_and_signs():
                 got = {tuple(int(x) for x in row): int(s)
                        for row, s in zip(orb, signs)}
                 assert got == signed_orbit_bfs(rd.cartan, vec)
+
+
+def test_positive_roots_are_the_reflection_closure_by_height():
+    # the positive half of the oracle's closure, in (height, alpha) order,
+    # and height(r) = det A * (sum of r's simple-root coordinates)
+    for t, r in SUPPORTED_TYPES:
+        rd = build_root_datum(t, r)
+        det = int(Matrix(rd.cartan.tolist()).det())
+        coords = {v: solve_rational(rd.cartan, v) for v in roots_by_reflection(rd.cartan)}
+        positive = sorted((v for v, a in coords.items() if min(a) >= 0),
+                          key=lambda v: (sum(coords[v]), coords[v]))
+        assert len(positive) * 2 == len(coords)
+        assert rd.positive_roots.tolist() == [list(v) for v in positive], (t, r)
+        assert rd.positive_roots_alpha.tolist() == [list(coords[v]) for v in positive]
+        for v in positive:
+            assert rd.height(v) == det * sum(coords[v])
+            assert type(rd.height(v)) is int
 
 
 def test_coroot_pairings_are_the_transposed_roots():
