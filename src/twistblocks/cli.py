@@ -41,6 +41,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_tolerance(x):
+    """Positive and finite as a float: NaN, inf and ints past it are not."""
+    return (_is_int(x) or isinstance(x, float)) and 0 < x <= sys.float_info.max
+
+
 @dataclass
 class Request:
     algebra_type: str
@@ -166,9 +171,7 @@ def parse_request(text):
     need("pairs", _is_int(pairs) and pairs >= 0, "must be an integer >= 0")
 
     tol = opts.get("tolerance", 1e-5)
-    need("options.tolerance",
-         isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
-         "must be a positive number")
+    need("options.tolerance", _is_tolerance(tol), "must be a positive finite number")
     fmt = opts.get("format", "table")
     need("options.format", fmt in ("table", "structured"),
          "must be 'table' or 'structured'")
@@ -423,8 +426,8 @@ def main(argv=None):
                 text = fh.read()
         req = parse_request(text)
         if args.tolerance is not None:
-            if not args.tolerance > 0:
-                raise SchemaError("--tolerance: must be a positive number")
+            if not _is_tolerance(args.tolerance):
+                raise SchemaError("--tolerance: must be a positive finite number")
             req.tolerance = args.tolerance
         if args.format is not None:
             req.out_format = args.format

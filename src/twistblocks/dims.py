@@ -3,9 +3,8 @@ the finite regular torus classes, the general cover formula, and the
 factorization recursion."""
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
@@ -141,9 +140,10 @@ def _table(twist, c):
     return _PointTable(twist, c)
 
 
-def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
+def _point_sum(table, fixed=(), ambient=(), glued=(), a=0, dexp=0):
     """Sum over the points of
-    prod chi_fixed * prod chi_ambient * Delta_sigma^a / Delta^dexp.
+    prod chi_fixed * prod chi_ambient * prod G * Delta_sigma^a / Delta^dexp,
+    where each G in glued is a list of pairs (n, lam) for sum n * chi_lam.
 
     Every formula goes through this one loop: each term's factors are
     multiplied in one fixed order and the terms are tree-summed, so the
@@ -151,6 +151,7 @@ def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
     """
     columns = ([table.fixed.char(lam) for lam in fixed]
                + [table.ambient.char(nu) for nu in ambient])
+    glued = [[(n, table.fixed.char(lam)) for n, lam in g] for g in glued]
     try:
         ds = [x ** a for x in table.fixed.delta] if a else None
         d = [x ** (-dexp) for x in table.ambient.delta] if dexp else None
@@ -161,6 +162,8 @@ def _point_sum(table, fixed=(), ambient=(), a=0, dexp=0):
         term = complex(1.0)
         for col in columns:
             term *= col[k]
+        for g in glued:
+            term *= tree_sum([n * col[k] for n, col in g])
         if a:
             term *= ds[k]
         if dexp:
@@ -180,13 +183,13 @@ def _ratio(num, den, what):
 
 # -- the formulas ----------------------------------------------------------
 
-def _classical_raw(tw, c, g, weights):
-    """|T_c|^{g-1} sum over A_c of prod chi * Delta^{1-g}; no stability gate.
+def _classical_raw(tw, c, g, weights, glued=()):
+    """|T_c|^{g-1} sum over A_c of prod chi prod G Delta^{1-g}; no stability gate.
 
-    tw is the identity twist of the ambient algebra.
+    tw is the identity twist of the ambient algebra; G as in _point_sum.
     """
     table = _table(tw, c)
-    total = _point_sum(table, fixed=weights, dexp=g - 1)
+    total = _point_sum(table, fixed=weights, glued=glued, dexp=g - 1)
     t = table.enum.order_T
     return total * _ratio(t ** max(g - 1, 0), t ** max(1 - g, 0), f"|T_c|^{g - 1}")
 
@@ -282,38 +285,26 @@ def general_dimension(req):
 def factorized_dimension(req):
     """Same dimension through the factorization recursion.
 
-    Sums products of three-point twisted numbers against classical
-    higher-genus Verlinde numbers over all tuples of gluing weights.
+    Pair k is glued along D_c into one column G_k = sum over nu of
+    N(sigma; lambda_2k, lambda_2k+1, nu) chi_{nu*}.  By Verlinde's
+    diagonalization the classical sum with every G_k beside the chi_mu is the
+    sum over all tuples of gluing weights of three-point numbers times
+    classical Verlinde numbers.  The residual covers the three-point inputs.
     """
     a, b, lams, mus = _check_curve(req)
     twist, c, gbar = req.twist, req.level, req.genus_bar
-    if a == 0:
-        # empty product over pairs: plain classical Verlinde number
-        raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus)
-        return _finalize(raw, f"factorized N_({gbar},a=0){mus}")
     dc = ambient_alphabet(twist, c)
-    rd = twist.ambient
-    classical_tw = build_twist(rd, "identity")
-    # n3[k][i]: three-point number of pair k glued to the i-th weight of D_c
-    n3 = [[twisted_three_point(ThreePointRequest(
-               twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],
-               nu=nu)).value for nu in dc]
-          for k in range(a)]
-
-    duals = [rd.dual_weight(nu) for nu in dc]
-    total = 0.0
-    for idx in itertools.product(range(len(dc)), repeat=a):
-        coeff = 1
-        for k in range(a):
-            coeff *= n3[k][idx[k]]
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        classical = _classical_raw(classical_tw, c, gbar,
-                                   mus + tuple(duals[i] for i in idx))
-        total += coeff * classical
-    return _finalize(total, f"factorized N_({gbar},a={a})")
+    glued, inputs = [], []
+    for k in range(a):
+        n3 = [twisted_three_point(ThreePointRequest(
+                  twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],
+                  nu=nu)) for nu in dc]
+        glued.append([(r.value, twist.ambient.dual_weight(nu))
+                      for r, nu in zip(n3, dc)])
+        inputs += n3
+    raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus, glued)
+    res = _finalize(raw, f"factorized N_({gbar},a={a}){lams}{mus}")
+    return replace(res, residual=max([res.residual] + [r.residual for r in inputs]))
 
 
 def riemann_hurwitz_genus(order_gamma, genus_bar, stabilizer_orders):

@@ -166,7 +166,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(path), "--tolerance", "1e-30"]) == 1
     capsys.readouterr()
     # the flag obeys the same rule as options.tolerance
-    for tol in ("-1", "nan"):
+    for tol in ("-1", "nan", "inf"):
         assert main([str(path), "--tolerance", tol]) == 2
         capsys.readouterr()
 
@@ -190,6 +190,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                 make_request(genus_bar=False),
                 make_request(pairs=False),
                 make_request(options={"tolerance": True}),
+                make_request(options={"tolerance": float("inf")}),
+                make_request(options={"tolerance": 10 ** 400}),
                 make_request(**{**three, "weights": {"twisted": [[0, False], [0, 0]],
                                                      "ambient": [[0, 0, 0]]}}),
                 make_request(**{**three, "weights": {"twisted": [[0, 0], [0, 0]],
@@ -273,7 +275,8 @@ _CURVE = dict(level=2, genus_bar=1, pairs=1,
               weights={"twisted": [[1, 0], [0, 1]], "ambient": [[1, 0, 0]]})
 
 # sha256 of the structured stdout, recorded before the batched character
-# kernel and the replayed orbits; residual floats included
+# kernel and the replayed orbits; residual floats included.  The factorized
+# digest dates from the glued point sum, which moved only its residual
 PINNED_STDOUT = (
     (make_request(algebra={"type": "B", "rank": 4}, twist=_IDENTITY, level=3,
                   computation="classical", genus_bar=1,
@@ -288,7 +291,7 @@ PINNED_STDOUT = (
     (make_request(computation="general", **_CURVE),
      "57e3247ae2830b9031dea0fb6b4265b11dd0ea219d4721faaf9a87e0e38d923b"),
     (make_request(computation="factorized", **_CURVE),
-     "9da577242c4ff9c953f0248609286684575137ab499194fe2d963a5c10de8db4"),
+     "2f69787e29ccd23f398c0742fc0ee64d6e7685ccaec41e147691ebcdad60d56f"),
     (make_request(algebra={"type": "D", "rank": 4},
                   twist={"kind": "diagram", "order": 3}, level=2),
      "ecfd34bb81009a5778ca653701c94e340b8c2141d7f682a6e6d348537f0ee841"),
@@ -303,6 +306,8 @@ def test_structured_stdout_is_pinned(doc, digest, capsys, monkeypatch):
     assert main(["-", "--format", "structured"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if doc["computation"] == "factorized":
+        assert [r["value"] for r in json.loads(out)["results"]] == [24]
 
 
 def _json_oracle(rep):

@@ -267,7 +267,7 @@ def test_factorization_identity_grid():
         alphabet = weight_alphabet(data, c).members
         amb = ambient_alphabet(data, c)
         for gbar in (0, 1, 2):
-            for a in (1, 2):
+            for a in (1, 2, 3):
                 lam_pool = list(itertools.product(alphabet, repeat=2 * a))
                 for lams in lam_pool[:6] + lam_pool[-2:]:
                     for mus in ([], [amb[-1]]):
@@ -276,6 +276,30 @@ def test_factorization_identity_grid():
                         assert general_dimension(req).value == \
                             factorized_dimension(req).value, (t, r, kind, c,
                                                               gbar, lams, mus)
+
+
+def test_factorization_four_pairs():
+    # 35^4 = 1500625 tuples of gluing weights: out of reach for a sum over
+    # tuples, one point sum with four glued columns for factorization
+    req = CurveRequest(twist=tw("A", 4, "standard4"), level=3, genus_bar=0,
+                       lambda_dagger=((0, 0), (1, 0), (0, 1), (0, 0),
+                                      (1, 0), (0, 0), (0, 0), (1, 0)),
+                       mu=((0, 0, 0, 3),))
+    assert general_dimension(req).value == factorized_dimension(req).value == 1120000
+
+
+def test_factorized_residual_covers_its_inputs():
+    # the rounded three-point numbers are inputs of the glued sum: their
+    # residuals are part of the reported one (here they are its largest part)
+    for t, r, kind in (("A", 3, "diagram2"), ("D", 4, "diagram3")):
+        data = tw(t, r, kind)
+        lam = weight_alphabet(data, 2).members[-1]
+        req = CurveRequest(twist=data, level=2, genus_bar=1,
+                           lambda_dagger=(lam, lam), mu=())
+        inputs = [twisted_three_point(ThreePointRequest(
+                      twist=data, level=2, lam=lam, mu=lam, nu=nu)).residual
+                  for nu in ambient_alphabet(data, 2)]
+        assert factorized_dimension(req).residual >= max(inputs) > 0
 
 
 def test_factorized_empty_product_is_classical():
