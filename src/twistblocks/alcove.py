@@ -5,7 +5,7 @@ rho-shifted star action."""
 from dataclasses import dataclass
 from typing import Optional
 
-from .twist import TwistData, build_twist, weight_alphabet, _bounded_lex
+from .twist import build_twist, weight_alphabet, _bounded_lex
 from .util import integer_determinant
 
 # defensive bound on the theta reflections of a fold; the affine action is
@@ -15,8 +15,6 @@ _FOLD_SLACK = 64
 
 @dataclass(frozen=True)
 class AlcoveEnumeration:
-    twist: TwistData
-    level: int
     points: tuple           # Exponents of each point for the fixed algebra
     order_T: int
     order_Tsigma: int
@@ -97,8 +95,8 @@ def enumerate_sigma_c(twist, c):
             raise AssertionError(f"enumerated point {y} is not regular")
 
     order_t, order_ts = lattice_orders(twist, c)
-    return AlcoveEnumeration(twist=twist, level=c, points=tuple(pts),
-                             order_T=order_t, order_Tsigma=order_ts)
+    return AlcoveEnumeration(points=tuple(pts), order_T=order_t,
+                             order_Tsigma=order_ts)
 
 
 def fold_to_alcove(twist, c, eta):

@@ -227,14 +227,13 @@ def run_request(req):
         pipelines = ("twisted_verlinde",)
     elif req.computation == "fusion_table":
         alphabet = weight_alphabet(twist, c).members
-        triples = [(a, b, e) for a in alphabet for b in alphabet for e in alphabet]
-
-        def frow(tr):
-            a, b, e = tr
-            res = fusion_coefficient(twist, c, a, b, e)
-            return _result_row({"lambda": list(a), "mu": list(b), "eta": list(e)}, res)
-
-        rows = [frow(tr) for tr in triples]
+        rows = []
+        for a in alphabet:
+            for b in alphabet:
+                for e in alphabet:
+                    res = fusion_coefficient(twist, c, a, b, e)
+                    rows.append(_result_row(
+                        {"lambda": list(a), "mu": list(b), "eta": list(e)}, res))
         pipelines = ("twisted_verlinde",)
     elif req.computation in ("general", "factorized"):
         creq = CurveRequest(twist=twist, level=c, genus_bar=req.genus_bar,
@@ -249,18 +248,17 @@ def run_request(req):
     elif req.computation == "crosscheck":
         alphabet = weight_alphabet(twist, c).members
         amb = ambient_alphabet(twist, c)
-        triples = [(a, b, n) for a in alphabet for b in alphabet for n in amb]
-
-        def crow(tr):
-            a, b, n = tr
-            r3 = ThreePointRequest(twist=twist, level=c, lam=a, mu=b, nu=n)
-            res = twisted_three_point(r3)
-            kw, _ = kac_walton_dimension(r3)
-            return {"inputs": {"lambda": list(a), "mu": list(b), "nu": list(n)},
-                    "value": res.value, "residual": res.residual,
-                    "value_kac_walton": kw, "agree": kw == res.value}
-
-        rows = [crow(tr) for tr in triples]
+        rows = []
+        for a in alphabet:
+            for b in alphabet:
+                for n in amb:
+                    r3 = ThreePointRequest(twist=twist, level=c, lam=a, mu=b, nu=n)
+                    res = twisted_three_point(r3)
+                    kw, _ = kac_walton_dimension(r3)
+                    rows.append({"inputs": {"lambda": list(a), "mu": list(b),
+                                            "nu": list(n)},
+                                 "value": res.value, "residual": res.residual,
+                                 "value_kac_walton": kw, "agree": kw == res.value})
         agreement = all(r["agree"] for r in rows)
         pipelines = ("twisted_verlinde", "kac_walton")
     else:  # pragma: no cover - parse_request already rejected it

@@ -17,7 +17,6 @@ Conventions used throughout the package
 
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -95,9 +94,9 @@ class Exponents(NamedTuple):
 class RootDatum:
     """Immutable simple root system with cached multiplicity data.
 
-    Instances hash by identity; their orbits, weight systems and tensor
-    products are held in util.memo tables keyed by the instance, so one
-    instance is safe to share between threads.
+    Instances hash by identity; rho's orbit walk, the weight systems and
+    the tensor products are held in util.memo tables keyed by the instance,
+    so one instance is safe to share between threads.
     """
 
     def __init__(self, lie_type, rank):
@@ -115,7 +114,6 @@ class RootDatum:
         # A^{-1} = adjugate / determinant
         self._cinv_num, self._cinv_den = integer_inverse(self.cartan.tolist())
         self.rho = tuple([1] * rank)
-        self.rho_check = tuple([1] * rank)
 
         self.symmetrizer = _symmetrizer(self.cartan.tolist())
         # form on weight coordinates: F[i][j] = d_i (A^{-1})[i][j] / max(d),
@@ -197,28 +195,7 @@ class RootDatum:
         """Simple roots in fundamental-weight coordinates (alpha_j = column j)."""
         return self._cols
 
-    @property
-    def simple_coroots(self):
-        """Simple coroots in fundamental-coweight coordinates (row i)."""
-        return tuple(tuple(int(x) for x in self.cartan[i, :]) for i in range(self.rank))
-
-    @property
-    def normalized_form(self):
-        """Gram matrix of the invariant form on fundamental weights (Fractions)."""
-        return tuple(tuple(Fraction(x, self._form_den) for x in row)
-                     for row in self._form_num)
-
     # -- elementary weight arithmetic ---------------------------------
-
-    def form_value(self, x, y):
-        """Normalized invariant form <x, y> of two weights (exact Fraction)."""
-        acc = 0
-        for i in range(self.rank):
-            if x[i]:
-                for j in range(self.rank):
-                    if y[j]:
-                        acc += int(x[i]) * self._form_num[i][j] * int(y[j])
-        return Fraction(acc, self._form_den)
 
     def exponent_vector(self, xi, den=1):
         """Exponents y with y[i] = omega_i(xi / den) for the coweight-coordinate
@@ -271,20 +248,12 @@ class RootDatum:
 
     # -- Weyl group ----------------------------------------------------
 
-    @property
-    def weyl_order(self):
-        return len(self._walk_rho()[0])
-
     def signed_orbit(self, vec):
         """Weyl orbit of a strictly dominant vector with (-1)^length signs.
 
         Returns (orbit matrix K x rank int64, signs K int8); row 0 is vec.
-        """
-        return self._signed_orbit(tuple(int(x) for x in vec))
-
-    @memo
-    def _signed_orbit(self, key):
-        """Replay rho's walk on key.
+        Only rho's orbit is cached; any other is replayed from rho's walk
+        on each call and belongs to the caller.
 
         Each step of the walk of a regular dominant x applies s_i to rows
         w.x with <w.x, alpha_i^vee> > 0 and keeps an image whose first
@@ -293,14 +262,15 @@ class RootDatum:
         in the same order, and its orbit rows come out in the same order
         with the same signs.
         """
-        if any(x <= 0 for x in key):
+        vec = tuple(int(x) for x in vec)
+        if any(x <= 0 for x in vec):
             raise ValueError("signed_orbit needs a strictly dominant vector")
         orbit, signs, blocks, parents = self._walk_rho()
-        if key == self.rho:
+        if vec == self.rho:
             return orbit, signs
         a = self.cartan
         out = np.empty_like(orbit)
-        out[0] = key
+        out[0] = vec
         pos = 1
         for i, m in blocks:
             # parents[k - 1] is the row that row k is the s_i-image of
@@ -527,15 +497,6 @@ class RootDatum:
             weyl_den = self.weyl_denominators(ys)
         orbit, signs = self.signed_orbit(tuple(x + 1 for x in lam))
         return [num / den for num, den in zip(_phase_sums(orbit, signs, ys), weyl_den)]
-
-    def character_value(self, lam, xi):
-        """chi_lambda(exp(2 pi i xi)) by the Weyl quotient formula."""
-        return self.character_at_exponents(lam, [self.exponent_vector(xi)])[0]
-
-    def character_by_weights(self, lam, xi):
-        """Same value by the direct weight-multiplicity sum (no regularity needed)."""
-        return self.character_at_exponents(lam, [self.exponent_vector(xi)],
-                                           method="weights")[0]
 
     def __repr__(self):
         return f"RootDatum({self.lie_type}{self.rank})"

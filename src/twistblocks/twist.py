@@ -92,10 +92,6 @@ class TwistData:
     is_standard: bool
 
     @property
-    def order(self):
-        return self.kind.order
-
-    @property
     def dual_coxeter(self):
         """Dual Coxeter number of the twisted affine algebra = that of g."""
         return self.ambient.dual_coxeter

@@ -200,6 +200,25 @@ def simple_root_lengths(cartan):
                  else Fraction(1, m) for j in range(n))
 
 
+def invariant_form(cartan):
+    """Gram matrix of the invariant form on fundamental weights, long roots
+    of squared length 2, as rows of Fractions.
+
+    <omega_i, alpha_j> = delta_ij |alpha_j|^2 / 2 and alpha_j = sum_k
+    cartan[k][j] omega_k, so <omega_i, omega_j> = (|alpha_i|^2 / 2) (A^{-1})_ij,
+    and |alpha_i|^2 / 2 is the simple root's length relative to theta.
+    """
+    lengths = simple_root_lengths(cartan)
+    return [[lengths[i] * x for x in row]
+            for i, row in enumerate(rational_inverse(cartan))]
+
+
+def form_value(cartan, x, y):
+    """<x, y> for two weights in fundamental-weight coordinates, a Fraction."""
+    gram = invariant_form(cartan)
+    return sum(int(a) * g * int(b) for a, row in zip(x, gram) for g, b in zip(row, y))
+
+
 def positive_coroots(cartan):
     """Positive coroots in simple-coroot coordinates d, so that a weight x
     (fundamental-weight coordinates) pairs with the coroot as d . x.

@@ -355,6 +355,30 @@ def test_float_overflow_is_an_integrality_error():
             _finalize(raw, "overflowed sum")
 
 
+# Known failures of the float point sum: roundoff pushes the imaginary part of
+# each raw sum past the 1e-7 guard.  An exact point sum must answer them, and
+# strict xfail then reports the pass until the markers go.
+_FLOAT_GUARD = pytest.mark.xfail(strict=True, raises=IntegralityError,
+                                 reason="float point sum fails the imaginary-part guard")
+
+
+@_FLOAT_GUARD
+@pytest.mark.parametrize("formula", [general_dimension, factorized_dimension])
+def test_d4_triality_genus_two_curve_is_an_integer(formula):
+    req = CurveRequest(twist=tw("D", 4, "diagram3"), level=3, genus_bar=2,
+                       lambda_dagger=((0, 1),) + ((0, 0),) * 5, mu=((0, 0, 1, 2),))
+    res = formula(req)
+    assert res.value >= 0
+    assert res.residual < 1e-5
+
+
+@_FLOAT_GUARD
+def test_g2_level_120_genus_one_is_an_integer():
+    res = classical_verlinde(build_root_datum("G", 2), 120, 1, [(1, 0), (0, 1), (1, 1)])
+    assert res.value >= 0
+    assert res.residual < 1e-5
+
+
 def test_lattice_factor_is_the_rounded_rational():
     # |T_c|^k / |T_c^sigma|^a as an int ratio is the float of the exact
     # rational, also where both powers are far past the float range
@@ -456,7 +480,7 @@ def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
     for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         amb = data.ambient
-        if amb.weyl_order > 1920:
+        if len(amb.signed_orbit(amb.rho)[0]) > 1920:
             continue
         for c in (1, 2):
             table = _PointTable(data, c)

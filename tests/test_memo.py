@@ -1,5 +1,7 @@
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -53,8 +55,8 @@ def test_shared_datum_hands_every_thread_one_object():
     vec, lam, mu = (2, 1, 3), (1, 0, 1), (0, 1, 0)
 
     def calls():
-        return (rd.signed_orbit(vec), rd.weight_system(lam),
-                rd._tensor(lam, mu), rd.tensor_multiplicities(lam, mu))
+        return (rd._walk_rho(), rd.weight_system(lam), rd._tensor(lam, mu),
+                rd.tensor_multiplicities(lam, mu), rd.signed_orbit(vec))
 
     results = run_together(calls)
     for got in results:
@@ -62,9 +64,24 @@ def test_shared_datum_hands_every_thread_one_object():
             assert a is b
 
     serial = RootDatum("C", 3)
-    orbit, signs = results[0][0]
     want_orbit, want_signs = serial.signed_orbit(vec)
-    assert np.array_equal(orbit, want_orbit) and np.array_equal(signs, want_signs)
+    for got in results:
+        # an orbit other than rho's is not cached: equal, not one object
+        orbit, signs = got[4]
+        assert np.array_equal(orbit, want_orbit) and np.array_equal(signs, want_signs)
     assert results[0][1] == serial.weight_system(lam)
     for got in results:
         assert got[3] == serial.tensor_multiplicities(lam, mu)
+
+
+def test_only_rhos_orbit_outlives_its_caller():
+    rd = RootDatum("C", 3)    # a private instance
+    walked = rd._walk_rho()
+    orbit, signs = rd.signed_orbit((2, 1, 3))
+    ref = weakref.ref(orbit)
+    del orbit, signs
+    gc.collect()
+    assert ref() is None
+    rho_orbit, rho_signs = rd.signed_orbit(rd.rho)
+    assert rho_orbit is walked[0] and rho_signs is walked[1]
+    assert rd._walk_rho() is walked

@@ -10,7 +10,7 @@ from twistblocks import (IllegalPair, NonDominant, RootDatum,
                          twist_kind, weight_alphabet)
 from twistblocks.twist import _branch_uncached
 from oracles import (FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS,
-                     coweight_point, rational_inverse)
+                     coweight_point, form_value, rational_inverse)
 
 
 def tw(t, r, kind):
@@ -64,10 +64,10 @@ def test_theta_check_direction():
     for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         fixed = data.fixed
-        nrm = fixed.form_value(data.theta_sigma, data.theta_sigma)
+        nrm = form_value(fixed.cartan, data.theta_sigma, data.theta_sigma)
         for j in range(fixed.rank):
             alpha_j = tuple(int(x) for x in fixed.cartan[:, j])
-            expected = 2 * fixed.form_value(alpha_j, data.theta_sigma) / nrm
+            expected = 2 * form_value(fixed.cartan, alpha_j, data.theta_sigma) / nrm
             theta_check_j = sum(m * int(fixed.cartan[i][j])
                                 for i, m in enumerate(data.level_marks))
             assert Fraction(theta_check_j) == expected
@@ -125,12 +125,14 @@ def test_branch_character_consistency():
             xi = tuple(Fraction(rng.randrange(1, 3), q) for _ in range(fixed.rank))
             if fixed.point_is_regular(fixed.exponent_vector(xi)):
                 break
+        y_fixed = fixed.exponent_vector(xi)
         for nu in [tuple(int(i == j) for j in range(r)) for i in range(r)]:
             if amb.weyl_dimension(nu) > 1000:
                 continue
-            y_amb = data.ambient_exponents(fixed.exponent_vector(xi))
+            y_amb = data.ambient_exponents(y_fixed)
             lhs = amb.character_at_exponents(nu, [y_amb], method="weights")[0]
-            rhs = sum(m * fixed.character_by_weights(eta, xi)
+            rhs = sum(m * fixed.character_at_exponents(eta, [y_fixed],
+                                                       method="weights")[0]
                       for eta, m in branch_to_fixed(data, nu).items())
             assert abs(lhs - rhs) < 1e-8
 
