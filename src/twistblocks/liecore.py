@@ -21,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonDominant, SingularPoint, UnsupportedType
+from .errors import IntegralityError, NonDominant, SingularPoint, UnsupportedType
 from .util import integer_inverse, memo
 
 # (type, min rank, max rank); E7/E8 stay out of the table
 _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
               "E": (6, 6), "F": (4, 4), "G": (2, 2)}
 
-# orbit rows x points in one _phase_sums block: its int64 phases and float64
-# weights stay at 256 KiB each, well below an orbit walk's own temporaries
+# entries in one orbit chunk (rows x rank) and in one _phase_sums block (rows
+# x points): their int64 and float64 arrays stay at 256 KiB each
 _PHASE_BLOCK = 1 << 15
 
 
@@ -248,12 +248,15 @@ class RootDatum:
 
     # -- Weyl group ----------------------------------------------------
 
-    def signed_orbit(self, vec):
-        """Weyl orbit of a strictly dominant vector with (-1)^length signs.
+    def _orbit_chunks(self, vec):
+        """The Weyl orbit of a strictly dominant vector with (-1)^length
+        signs, as a stream of (rows int64, signs int8) chunks.
 
-        Returns (orbit matrix K x rank int64, signs K int8); row 0 is vec.
-        Only rho's orbit is cached; any other is replayed from rho's walk
-        on each call and belongs to the caller.
+        The first row is vec, and the rows come layer by layer in the length
+        of w in w.vec.  A chunk is one or more whole layers, or one slice of a
+        layer too large for the budget: at most _PHASE_BLOCK entries either
+        way.  Besides the chunk handed out, only the layer being replayed,
+        the one before it and the small layers waiting for a chunk are held.
 
         Each step of the walk of a regular dominant x applies s_i to rows
         w.x with <w.x, alpha_i^vee> > 0 and keeps an image whose first
@@ -263,38 +266,55 @@ class RootDatum:
         with the same signs.
         """
         vec = tuple(int(x) for x in vec)
-        if any(x <= 0 for x in vec):
-            raise ValueError("signed_orbit needs a strictly dominant vector")
-        orbit, signs, blocks, parents = self._walk_rho()
-        if vec == self.rho:
-            return orbit, signs
+        if min(vec) <= 0:
+            raise ValueError("a Weyl orbit stream needs a strictly dominant vector")
+        cap = max(1, _PHASE_BLOCK // self.rank)     # rows per chunk
+        held = []                   # (layer, signs) of small layers for one chunk
+
+        def merged():
+            chunk = np.vstack([x for x, _ in held]), np.concatenate([s for _, s in held])
+            held.clear()            # before the chunk is handed out
+            return chunk
+
+        for k, layer in enumerate(self._replay(vec)):
+            if held and sum(len(x) for x, _ in held) + len(layer) > cap:
+                yield merged()
+            signs = np.full(min(len(layer), cap), 1 - 2 * (k & 1), dtype=np.int8)
+            if len(layer) > cap:
+                for s in range(0, len(layer), cap):
+                    yield layer[s:s + cap], signs[:len(layer) - s]
+            else:
+                held.append((layer, signs))
+        if held:
+            yield merged()
+
+    def _replay(self, vec):
+        """The layers of vec's orbit, each built from the one before by the
+        steps of rho's walk."""
         a = self.cartan
-        out = np.empty_like(orbit)
-        out[0] = vec
-        pos = 1
-        for i, m in blocks:
-            # parents[k - 1] is the row that row k is the s_i-image of
-            rows = np.take(out, parents[pos - 1:pos - 1 + m], axis=0)
-            rows -= np.multiply.outer(rows[:, i], a[:, i])
-            out[pos:pos + m] = rows
-            pos += m
-        return out, signs
+        layer = np.array([vec], dtype=np.int64)
+        yield layer
+        for blocks in self._walk_rho():
+            nxt = np.empty((sum(len(p) for _, p in blocks), self.rank), dtype=np.int64)
+            pos = 0
+            for i, parents in blocks:
+                rows = nxt[pos:pos + len(parents)]
+                np.take(layer, parents, axis=0, out=rows)
+                rows -= np.multiply.outer(rows[:, i], a[:, i])
+                pos += len(parents)
+            layer = nxt
+            yield layer
 
     @memo
     def _walk_rho(self):
-        """rho's signed orbit, walked once, and the steps of that walk:
-        (orbit, signs, (reflection, block size) pairs, every parent row in
-        one array)."""
+        """The steps of rho's orbit walk, walked once: per layer after the
+        first, its (reflection i, int32 rows of the layer before) blocks.
+        No orbit row is kept."""
         steps = []
-        layers = self._orbit_layers(np.array([self.rho], dtype=np.int64), steps)
-        # for regular x the layer index is the length of w in w.x
-        signs = [np.full(len(cur), (-1) ** k, dtype=np.int8)
-                 for k, cur in enumerate(layers)]
-        orbit, signs = np.vstack(layers), np.concatenate(signs)
-        # free the layers first: the packed parents then reuse their memory
-        del layers
-        return (orbit, signs, [(i, len(p)) for i, p in steps],
-                np.concatenate([p for _, p in steps]).astype(np.int32))
+        for _ in self._orbit_layers(np.array([self.rho], dtype=np.int64), steps):
+            pass
+        # the longest element's layer has no images
+        return tuple(tuple((i, p) for i, p in layer if len(p)) for layer in steps[:-1])
 
     def _orbit_layers(self, cur, steps=None):
         """The Weyl orbits of the dominant rows of cur, layer by layer.
@@ -307,16 +327,14 @@ class RootDatum:
         once.  For regular x these steps go up in the length of w
         (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
 
-        A list passed as steps receives one (i, parents) pair per block of
-        images, parents indexing the rows of all layers stacked.
+        A list passed as steps receives, per layer, the (i, parents) blocks
+        of its images, parents as int32 rows of that layer.
         """
         n = self.rank
         a = self.cartan
-        layers = []
-        start = 0
         while len(cur):
-            layers.append(cur)
-            nxt = []
+            yield cur
+            nxt, blocks = [], []
             for i in range(n):
                 up = cur[:, i] > 0
                 w = cur[up]
@@ -324,10 +342,10 @@ class RootDatum:
                 keep = (w[:, :i] >= 0).all(axis=1)
                 nxt.append(w[keep])
                 if steps is not None:
-                    steps.append((i, np.flatnonzero(up)[keep] + start))
-            start += len(cur)
+                    blocks.append((i, np.flatnonzero(up)[keep].astype(np.int32)))
+            if steps is not None:
+                steps.append(blocks)
             cur = np.vstack(nxt)
-        return layers
 
     # -- dimensions and weight multiplicities --------------------------
 
@@ -418,7 +436,7 @@ class RootDatum:
         # orbits, with the multiplicity riding along as a last column
         n = self.rank
         cur = np.array([mu + (mult[mu],) for mu in order], dtype=np.int64)
-        rows = np.vstack(self._orbit_layers(cur))
+        rows = np.vstack(list(self._orbit_layers(cur)))
         return np.ascontiguousarray(rows[:, :n]), rows[:, n].copy()
 
     # -- tensor products ------------------------------------------------
@@ -480,7 +498,7 @@ class RootDatum:
         """
         if not all(self.point_is_regular(y) for y in ys):
             raise SingularPoint("point lies on a root hyperplane")
-        return _phase_sums(*self.signed_orbit(self.rho), ys)
+        return _phase_sums(self._orbit_chunks(self.rho), ys, self._reach(self.rho))
 
     def character_at_exponents(self, lam, ys, method="quotient", weyl_den=None):
         """chi_lambda at every point of the exponent list ys, as complex numbers.
@@ -491,49 +509,84 @@ class RootDatum:
         """
         self._require_dominant(lam)
         if method == "weights":
-            vecs, mults = self._weight_arrays(lam)
-            return _phase_sums(vecs, mults, ys)
+            return _phase_sums([self._weight_arrays(lam)], ys, self._reach(lam))
         if weyl_den is None:
             weyl_den = self.weyl_denominators(ys)
-        orbit, signs = self.signed_orbit(tuple(x + 1 for x in lam))
-        return [num / den for num, den in zip(_phase_sums(orbit, signs, ys), weyl_den)]
+        lr = tuple(x + 1 for x in lam)
+        nums = _phase_sums(self._orbit_chunks(lr), ys, self._reach(lr))
+        return [num / den for num, den in zip(nums, weyl_den)]
+
+    def _reach(self, v):
+        """max <v, beta^vee> over the positive coroots, for dominant v: no
+        coordinate of a weight in W.v, or of a weight of V(v), is larger in
+        size."""
+        return max(sum(map(operator.mul, cv, v)) for cv in self.coroot_pairings.tolist())
 
     def __repr__(self):
         return f"RootDatum({self.lie_type}{self.rank})"
 
 
-def _phase_sums(rows, weights, ys):
-    """[sum_j weights[j] * e^{2 pi i (rows[j] . y.num) / y.den} for y in ys].
+def _phase_sums(chunks, ys, reach):
+    """[sum_j weights[j] * e^{2 pi i (rows[j] . y.num) / y.den} for y in ys],
+    j running over the (rows, weights) chunks, no row entry above reach in
+    size.
 
-    Every phase rows[j] . y.num is an exact integer.  One bincount per block
-    of points sums the integer weights per (point, phase), and each point's
-    sums are folded onto the residues modulo its own y.den: exact in float64
+    Every phase rows[j] . y.num is an exact integer.  Per chunk and block of
+    points, one float64 matrix product gives the phases, exact because the
+    guard below keeps them under 2^53.  Per point, the phases are shifted by
+    a multiple of y.den to start in [0, y.den), one bincount sums the integer
+    weights per phase, and summing its rows of y.den folds them onto the
+    residues.  The residue counts add up over the chunks, exact in float64
     up to 2^53, so the heavy alternating cancellation happens in integer
     arithmetic, and only each point's final <= den-term sum over its roots
     of unity touches floats.  A common modulus for all points would change
     those last sums' rounding.
     """
+    if not ys:
+        return []
+    dens = np.array([y.den for y in ys], dtype=np.int64)
+    # with y.num reduced mod den, each of the rank terms of a phase is below
+    # den * reach in size
+    if len(ys[0].num) * int(dens.max()) * reach >= 1 << 53:
+        raise IntegralityError("torus-point phases reach 2^53: float64 "
+                               "products would not be exact")
+    nums = np.array([[x % y.den for x in y.num] for y in ys], dtype=np.float64)
+    starts = np.cumsum(dens) - dens     # each point's residues in counts
+    counts = np.zeros(int(dens.sum()))
+    work = {}
+
+    def scratch(name, shape, dtype=np.float64):
+        # a work array kept across chunks: a fresh one per chunk or block
+        # would be new pages each time
+        size = shape[0] * shape[1]
+        if name not in work or work[name].size < size:
+            work[name] = np.empty(size, dtype)
+        return work[name][:size].reshape(shape)
+
+    for rows, weights in chunks:
+        rows_f = scratch("rows", rows.shape)
+        np.copyto(rows_f, rows)
+        weights = weights.astype(np.float64)
+        step = max(1, _PHASE_BLOCK // len(rows))
+        for s in range(0, len(ys), step):
+            block = nums[s:s + step]
+            shape = (len(block), len(rows))
+            phases = scratch("phases", shape, np.int64)
+            np.copyto(phases, np.matmul(block, rows_f.T, out=scratch("float", shape)),
+                      casting="unsafe")
+            d = dens[s:s + step]
+            lo = phases.min(axis=1)
+            phases -= (lo - lo % d)[:, None]
+            size = (phases.max(axis=1) // d + 1) * d
+            for k, (den, first, n) in enumerate(zip(d.tolist(), starts[s:].tolist(),
+                                                    size.tolist())):
+                raw = np.bincount(phases[k], weights=weights, minlength=n)
+                counts[first:first + den] += raw.reshape(-1, den).sum(axis=0)
     out = []
-    weights = weights.astype(np.float64)
-    step = max(1, _PHASE_BLOCK // len(rows))
-    for s in range(0, len(ys), step):
-        block = ys[s:s + step]
-        # one row of phases per point; y.num reduced mod den keeps them small
-        phases = np.array([[x % y.den for x in y.num] for y in block],
-                          dtype=np.int64) @ rows.T
-        lo = phases.min(axis=1)
-        size = phases.max(axis=1) - lo + 1
-        offsets = np.cumsum(size) - size
-        phases += (offsets - lo)[:, None]
-        counts = np.bincount(phases.ravel(),
-                             weights=np.broadcast_to(weights, phases.shape).ravel())
-        for y, off, n, low in zip(block, offsets.tolist(), size.tolist(), lo.tolist()):
-            d = y.den
-            # the counts of the phases low .. low + n - 1, folded mod d
-            c = np.bincount(np.arange(low, low + n) % d, weights=counts[off:off + n],
-                            minlength=d)
-            table = _roots_of_unity(d)
-            out.append(complex(math.fsum(c * table.real), math.fsum(c * table.imag)))
+    for y, first in zip(ys, starts.tolist()):
+        c = counts[first:first + y.den]
+        table = _roots_of_unity(y.den)
+        out.append(complex(math.fsum(c * table.real), math.fsum(c * table.imag)))
     return out
 
 

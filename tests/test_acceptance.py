@@ -160,7 +160,7 @@ def test_acceptance_6_character_engine():
     rng = random.Random(2024)
     for (t, r) in SUPPORTED_TYPES:
         rd = build_root_datum(t, r)
-        order = len(rd.signed_orbit(rd.rho)[0])
+        order = sum(len(rows) for rows, _ in rd._orbit_chunks(rd.rho))
         if order != weyl_order_classical(t, r):
             failures.append(("order", t, r, order))
         n_lams = 4 if order > 100000 else 8

@@ -1,14 +1,17 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from sympy import Matrix
 
-from twistblocks import (NonDominant, RootDatum, SingularPoint, UnsupportedType,
-                         build_root_datum)
+from twistblocks import (IntegralityError, NonDominant, RootDatum, SingularPoint,
+                         UnsupportedType, build_root_datum, build_twist,
+                         enumerate_sigma_c)
+from twistblocks.liecore import _PHASE_BLOCK
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, form_value,
                      invariant_form, kostka_numbers, number_of_roots_classical,
                      positive_coroots, roots_by_reflection, signed_orbit_bfs,
@@ -32,8 +35,16 @@ def chi(rd, lam, xis, method="quotient"):
                                      method=method)
 
 
+def streamed_orbit(rd, vec):
+    """The chunks of rd's orbit stream of vec, concatenated: (rows, signs)."""
+    chunks = list(rd._orbit_chunks(vec))
+    return (np.vstack([rows for rows, _ in chunks]),
+            np.concatenate([signs for _, signs in chunks]))
+
+
 def weyl_order(rd):
-    return len(rd.signed_orbit(rd.rho)[0])
+    """|W|: the number of rows rho's orbit stream yields."""
+    return sum(len(rows) for rows, _ in rd._orbit_chunks(rd.rho))
 
 
 def test_build_examples():
@@ -104,7 +115,7 @@ def test_weyl_order_matches_classical_table():
 
 
 def test_signed_orbit_rows_and_signs():
-    # every orbit but rho's replays the steps of rho's walk
+    # every orbit, rho's included, replays the steps of rho's walk
     rng = random.Random(37)
     more = random.Random(53)
     for t, r in SUPPORTED_TYPES:
@@ -116,7 +127,7 @@ def test_signed_orbit_rows_and_signs():
         if order <= 1920:
             vecs += [tuple(more.randrange(1, 7) for _ in range(r)) for _ in range(3)]
         for vec in vecs:
-            orb, signs = rd.signed_orbit(vec)
+            orb, signs = streamed_orbit(rd, vec)
             assert orb.dtype == np.int64 and signs.dtype == np.int8
             assert tuple(orb[0]) == vec
             assert len(orb) == len(signs) == order
@@ -130,6 +141,45 @@ def test_signed_orbit_rows_and_signs():
                 got = {tuple(int(x) for x in row): int(s)
                        for row, s in zip(orb, signs)}
                 assert got == signed_orbit_bfs(rd.cartan, vec)
+
+
+def test_orbit_chunks_stay_within_the_phase_block():
+    # A8: 362880 rows, and length layers of up to 29228 rows, far above one
+    # chunk's budget of rows x rank entries
+    rd = build_root_datum("A", 8)
+    rows = 0
+    for orbit, signs in rd._orbit_chunks(rd.rho):
+        assert orbit.size <= _PHASE_BLOCK and len(signs) == len(orbit)
+        rows += len(orbit)
+    assert rows == weyl_order_classical("A", 8)
+
+
+def test_weyl_quotient_character_peak_memory_stays_near_the_phase_block():
+    # E6 on its classical c = 2 point table: a materialized orbit of lam+rho
+    # alone is 51840 x 6 int64, 2.5 MB
+    rd = build_root_datum("E", 6)
+    ys = enumerate_sigma_c(build_twist(rd, "identity"), 2).points
+    weyl_den = rd.weyl_denominators(ys)     # caches rho's walk
+    lam = (1, 0, 0, 0, 0, 1)
+    want = rd.character_at_exponents(lam, ys, weyl_den=weyl_den)
+    tracemalloc.start()
+    try:
+        got = rd.character_at_exponents(lam, ys, weyl_den=weyl_den)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # eight arrays of a chunk's budget of float64 or int64 entries: 2 MiB
+    assert peak < 8 * _PHASE_BLOCK * 8, peak
+
+
+def test_phase_guard_refuses_phases_past_two_to_the_53():
+    # A1 at xi = 1/3 (den 6): a phase of lam+rho is (lam + 1) * y.num, and
+    # rank * den * (lam + 1) must stay below 2^53 for exact float64 products
+    y = A1.exponent_vector((Fraction(1, 3),))
+    assert y.den == 6
+    with pytest.raises(IntegralityError, match="2\\^53"):
+        A1.character_at_exponents((2 ** 52,), [y])
 
 
 def test_positive_roots_are_the_reflection_closure_by_height():

@@ -56,7 +56,7 @@ def test_shared_datum_hands_every_thread_one_object():
 
     def calls():
         return (rd._walk_rho(), rd.weight_system(lam), rd._tensor(lam, mu),
-                rd.tensor_multiplicities(lam, mu), rd.signed_orbit(vec))
+                rd.tensor_multiplicities(lam, mu), list(rd._orbit_chunks(vec)))
 
     results = run_together(calls)
     for got in results:
@@ -64,24 +64,32 @@ def test_shared_datum_hands_every_thread_one_object():
             assert a is b
 
     serial = RootDatum("C", 3)
-    want_orbit, want_signs = serial.signed_orbit(vec)
+    want = list(serial._orbit_chunks(vec))
     for got in results:
-        # an orbit other than rho's is not cached: equal, not one object
-        orbit, signs = got[4]
-        assert np.array_equal(orbit, want_orbit) and np.array_equal(signs, want_signs)
+        # an orbit is streamed, not cached: equal chunks, not one object
+        assert len(got[4]) == len(want)
+        for (orbit, signs), (want_orbit, want_signs) in zip(got[4], want):
+            assert np.array_equal(orbit, want_orbit) and np.array_equal(signs, want_signs)
     assert results[0][1] == serial.weight_system(lam)
     for got in results:
         assert got[3] == serial.tensor_multiplicities(lam, mu)
 
 
 def test_only_rhos_orbit_outlives_its_caller():
-    rd = RootDatum("C", 3)    # a private instance
+    rd = RootDatum("E", 6)    # a private instance; its orbits stream in 13 chunks
     walked = rd._walk_rho()
-    orbit, signs = rd.signed_orbit((2, 1, 3))
-    ref = weakref.ref(orbit)
-    del orbit, signs
-    gc.collect()
-    assert ref() is None
-    rho_orbit, rho_signs = rd.signed_orbit(rd.rho)
-    assert rho_orbit is walked[0] and rho_signs is walked[1]
+    # rho's walk is cached as its steps alone: one int32 parent per orbit row
+    # but the first, and no orbit row
+    parents = [p for layer in walked for _, p in layer]
+    assert all(type(i) is int for layer in walked for i, _ in layer)
+    assert all(p.dtype == np.int32 and p.ndim == 1 for p in parents)
+    assert sum(map(len, parents)) == 51840 - 1
+    # no chunk of a stream outlives its consumer, rho's included
+    for vec in ((2, 1, 3, 1, 1, 2), rd.rho):
+        refs = []
+        for orbit, signs in rd._orbit_chunks(vec):
+            refs.append(weakref.ref(orbit))
+        del orbit, signs
+        gc.collect()
+        assert len(refs) > 1 and all(ref() is None for ref in refs)
     assert rd._walk_rho() is walked
