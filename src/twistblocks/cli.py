@@ -10,12 +10,10 @@ slots to g itself).
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .dims import (CurveRequest, ThreePointRequest, classical_verlinde,
@@ -278,59 +276,21 @@ def report_ok(rep, tolerance):
     return True
 
 
-def _json_text(o, nl):
-    """json.dumps(o, sort_keys=True, indent=2) for a value nested in a
-    document: `nl` is a newline and the indent of the value's own line.
-    Keys must be strings, as every report's are."""
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, str):
-        return _json_str(o)
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) \
-            + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]) \
-            + nl + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+# with indent set, json encodes through its pure-Python iterencode, which
+# yields the document in small pieces: json.dumps' bytes, never held whole.
+# A report is a tree of fresh containers, so the cycle check (a third of the
+# encoding time) is skipped; it changes no byte
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
 
 
 def _structured_parts(rep):
     """The structured report, json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    byte for byte, as consecutive strings: one per result row, and the other
-    keys between them."""
+    byte for byte, as consecutive strings."""
     doc = {"version": rep.version, "request": rep.request,
-           "pipelines": list(rep.pipelines), "results": rep.results,
+           "pipelines": rep.pipelines, "results": rep.results,
            "agreement": rep.agreement, "timing": None}
-    for i, key in enumerate(sorted(doc)):
-        yield ("{" if i == 0 else ",") + "\n  " + _json_str(key) + ": "
-        if key == "results" and rep.results:
-            for j, row in enumerate(rep.results):
-                yield ("[" if j == 0 else ",") + "\n    " + _json_text(row, "\n    ")
-            yield "\n  ]"
-        else:
-            yield _json_text(doc[key], "\n  ")
-    yield "\n}\n"
+    yield from _ENCODER.iterencode(doc)
+    yield "\n"
 
 
 def _table_lines(rep):
@@ -362,9 +322,9 @@ def _table_lines(rep):
 def emit_report(rep, out_format, out=None):
     """Render a Report; the structured form is byte-deterministic.
 
-    With `out`, the text is written to it one part at a time (a row, or
-    the text between rows), so its whole text is never held at once, and
-    nothing is returned; without, it is returned as one string.
+    With `out`, the text is written to it one piece at a time, so its whole
+    text is never held at once, and nothing is returned; without, it is
+    returned as one string.
 
     Wall-clock timing is deliberately serialized as null so identical
     requests produce identical bytes across runs.
@@ -379,18 +339,6 @@ def emit_report(rep, out_format, out=None):
         return "".join(parts)
     for part in parts:
         out.write(part)
-
-
-def parse_report(text):
-    """Read back a structured report (round-trip inverse of emit_report)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"report is not valid JSON: {exc}") from None
-    return Report(version=doc["version"], request=doc["request"],
-                  pipelines=tuple(doc["pipelines"]),
-                  results=tuple(doc["results"]),
-                  agreement=doc["agreement"], timing=doc["timing"])
 
 
 def _report_stream():

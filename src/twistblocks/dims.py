@@ -11,7 +11,7 @@ from .errors import (InconsistentRamification, IntegralityError,
                      NotInAlphabet, UnstableInput)
 from .twist import (_check_ambient, _check_three_point, _check_twisted,
                     ambient_alphabet, build_twist)
-from .util import memo, round_half_away, tree_sum
+from .util import memo, round_half_away
 
 _IMAG_TOL = 1e-7
 
@@ -140,14 +140,25 @@ def _table(twist, c):
     return _PointTable(twist, c)
 
 
+def _fsum(values):
+    """The correctly rounded sum of complex values, part by part: it depends
+    only on the multiset of the values, not on their order."""
+    try:
+        return complex(math.fsum([v.real for v in values]),
+                       math.fsum([v.imag for v in values]))
+    except (OverflowError, ValueError):     # a sum past the float range, or inf - inf
+        raise IntegralityError("a point sum exceeds the float range") from None
+
+
 def _point_sum(table, fixed=(), ambient=(), glued=(), a=0, dexp=0):
     """Sum over the points of
     prod chi_fixed * prod chi_ambient * prod G * Delta_sigma^a / Delta^dexp,
     where each G in glued is a list of pairs (n, lam) for sum n * chi_lam.
 
     Every formula goes through this one loop: each term's factors are
-    multiplied in one fixed order and the terms are tree-summed, so the
-    results are reproducible bit for bit.
+    multiplied in one fixed order, and the terms, like each G's, are summed
+    by _fsum, so the results are reproducible bit for bit whatever the order
+    of the points.
     """
     columns = ([table.fixed.char(lam) for lam in fixed]
                + [table.ambient.char(nu) for nu in ambient])
@@ -163,13 +174,13 @@ def _point_sum(table, fixed=(), ambient=(), glued=(), a=0, dexp=0):
         for col in columns:
             term *= col[k]
         for g in glued:
-            term *= tree_sum([n * col[k] for n, col in g])
+            term *= _fsum([n * col[k] for n, col in g])
         if a:
             term *= ds[k]
         if dexp:
             term *= d[k]
         terms.append(term)
-    return tree_sum(terms)
+    return _fsum(terms)
 
 
 def _ratio(num, den, what):

@@ -31,6 +31,8 @@ _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
 # entries in one orbit chunk (rows x rank) and in one _phase_sums block (rows
 # x points): their int64 and float64 arrays stay at 256 KiB each
 _PHASE_BLOCK = 1 << 15
+# a point's phase range, in rows, past which _phase_sums reduces mod den
+_SPAN_PER_ROW = 8
 
 
 def _cartan_matrix(lie_type, rank):
@@ -536,10 +538,12 @@ def _phase_sums(chunks, ys, reach):
     guard below keeps them under 2^53.  Per point, the phases are shifted by
     a multiple of y.den to start in [0, y.den), one bincount sums the integer
     weights per phase, and summing its rows of y.den folds them onto the
-    residues.  The residue counts add up over the chunks, exact in float64
-    up to 2^53, so the heavy alternating cancellation happens in integer
-    arithmetic, and only each point's final <= den-term sum over its roots
-    of unity touches floats.  A common modulus for all points would change
+    residues; where that range is more than _SPAN_PER_ROW times the rows,
+    the phases are reduced mod y.den before the bincount instead, so memory
+    follows the rows, not the weight.  The residue counts add up over the
+    chunks, exact in float64 up to 2^53, so the heavy alternating
+    cancellation happens in integer arithmetic, and only each point's final
+    <= den-term sum over its roots of unity touches floats.  A common modulus for all points would change
     those last sums' rounding.
     """
     if not ys:
@@ -580,8 +584,15 @@ def _phase_sums(chunks, ys, reach):
             size = (phases.max(axis=1) // d + 1) * d
             for k, (den, first, n) in enumerate(zip(d.tolist(), starts[s:].tolist(),
                                                     size.tolist())):
-                raw = np.bincount(phases[k], weights=weights, minlength=n)
-                counts[first:first + den] += raw.reshape(-1, den).sum(axis=0)
+                if n > _SPAN_PER_ROW * len(rows):
+                    # a range far wider than the rows (a huge weight): reduce
+                    # mod den first, so the count is den long, not n
+                    raw = np.bincount(np.remainder(phases[k], den), weights=weights,
+                                      minlength=den)
+                else:
+                    raw = np.bincount(phases[k], weights=weights, minlength=n)
+                    raw = raw.reshape(-1, den).sum(axis=0)
+                counts[first:first + den] += raw
     out = []
     for y, first in zip(ys, starts.tolist()):
         c = counts[first:first + y.den]

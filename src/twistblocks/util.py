@@ -1,5 +1,5 @@
 """Small exact-arithmetic helpers: integer determinants and inverses,
-deterministic summation, and the package's one cache idiom."""
+rounding, and the package's one cache idiom."""
 
 import functools
 import threading
@@ -26,25 +26,6 @@ def memo(fn):
 
     cached.cache = cache
     return cached
-
-
-def tree_sum(values):
-    """Pairwise (tree) accumulation of complex values.
-
-    The result depends only on the input order, so the Verlinde point sums
-    are reproducible bit for bit.
-    """
-    xs = list(values)
-    if not xs:
-        return 0j
-    while len(xs) > 1:
-        nxt = []
-        for i in range(0, len(xs) - 1, 2):
-            nxt.append(xs[i] + xs[i + 1])
-        if len(xs) % 2:
-            nxt.append(xs[-1])
-        xs = nxt
-    return complex(xs[0])
 
 
 def round_half_away(x):

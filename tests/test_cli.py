@@ -8,8 +8,7 @@ import sys
 import pytest
 
 from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
-from twistblocks.cli import (Report, emit_report, main, parse_report, parse_request,
-                             run_request)
+from twistblocks.cli import Report, emit_report, main, parse_request, run_request
 from twistblocks.dims import _finalize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -137,7 +136,10 @@ def test_emit_header_only_table():
 def test_structured_round_trip():
     rep = run_request(parse_request(json.dumps(make_request())))
     text = emit_report(rep, "structured")
-    back = parse_report(text)
+    doc = json.loads(text)
+    back = Report(version=doc["version"], request=doc["request"],
+                  pipelines=tuple(doc["pipelines"]), results=tuple(doc["results"]),
+                  agreement=doc["agreement"], timing=doc["timing"])
     # emission nulls the wall clock; everything else round-trips exactly
     assert back.version == rep.version
     assert back.request == rep.request
@@ -274,20 +276,22 @@ _IDENTITY = {"kind": "identity", "order": 1}
 _CURVE = dict(level=2, genus_bar=1, pairs=1,
               weights={"twisted": [[1, 0], [0, 1]], "ambient": [[1, 0, 0]]})
 
-# sha256 of the structured stdout, recorded before the batched character
-# kernel and the replayed orbits; residual floats included.  The factorized
-# digest dates from the glued point sum, which moved only its residual
+# sha256 of the structured stdout, residual floats included.  The crosscheck
+# and general digests date from before the batched character kernel and the
+# replayed orbits, the factorized one from the glued point sum, and the
+# classical and fusion_table ones from the fsum point sums; each of those
+# changes moved residual digits only, and the values below stay pinned
 PINNED_STDOUT = (
     (make_request(algebra={"type": "B", "rank": 4}, twist=_IDENTITY, level=3,
                   computation="classical", genus_bar=1,
                   weights={"ambient": [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 1]]}),
-     "73acdc276cb945267a404b680ce806dc1b5f6dd4219f4535305aecc67d3e2bbd"),
+     "44c191567726bbc4cbd97219bc0ab8455f0ca517065a378e8f7a7f45c48e51c2"),
     (make_request(algebra={"type": "G", "rank": 2}, twist=_IDENTITY, level=5,
                   computation="classical", genus_bar=1,
                   weights={"ambient": [[1, 0], [0, 1], [1, 1]]}),
-     "4c0dd72315a981fbb24f455a54c24dca08f729194f34f2a1b003eef8b9b4e8dd"),
+     "1a94a4aac7122c371a7e6d28b027d6187d1659be64132a938f281134ea6ef1e1"),
     (make_request(level=2, computation="fusion_table"),
-     "fbcad763e6375a974ef7eece10cf51531ba3b96208ee2f78baac5e0e12b330f7"),
+     "4918605e2af1089cacb56c0ddc295022cf7f129ee7fd0fafd55d3b22fab1f7c4"),
     (make_request(computation="general", **_CURVE),
      "57e3247ae2830b9031dea0fb6b4265b11dd0ea219d4721faaf9a87e0e38d923b"),
     (make_request(computation="factorized", **_CURVE),
@@ -298,16 +302,31 @@ PINNED_STDOUT = (
 )
 
 
+_PINNED_VALUES = {
+    "classical-B4": [180],
+    "classical-G2": [615],
+    "fusion_table-A3": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1,
+                        0, 1, 0, 0, 1, -1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0,
+                        0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0,
+                        0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0],
+    "general-A3": [24],
+    "factorized-A3": [24],
+}
+
+
+def _pin_id(doc):
+    return f"{doc['computation']}-{doc['algebra']['type']}{doc['algebra']['rank']}"
+
+
 @pytest.mark.parametrize("doc, digest", PINNED_STDOUT,
-                         ids=[f"{d['computation']}-{d['algebra']['type']}{d['algebra']['rank']}"
-                              for d, _ in PINNED_STDOUT])
+                         ids=[_pin_id(d) for d, _ in PINNED_STDOUT])
 def test_structured_stdout_is_pinned(doc, digest, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     assert main(["-", "--format", "structured"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    if doc["computation"] == "factorized":
-        assert [r["value"] for r in json.loads(out)["results"]] == [24]
+    values = [r["value"] for r in json.loads(out)["results"]]
+    assert values == _PINNED_VALUES.get(_pin_id(doc), values)
 
 
 def _json_oracle(rep):

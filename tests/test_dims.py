@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -15,8 +16,8 @@ from twistblocks import (CurveRequest, InconsistentRamification,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _PointTable, _finalize, _ratio,
-                             _table)
+from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _Characters, _PointTable, _finalize,
+                             _fsum, _point_sum, _ratio, _table)
 from oracles import (STANDARD_ROWS, roots_by_reflection, signed_orbit_bfs,
                      sl2_verlinde)
 
@@ -408,6 +409,50 @@ def test_point_table_builds_ambient_exponents_when_read():
     chi = table.ambient.char((1, 0, 0))
     assert "ambient" in vars(table)
     assert chi == _table(data, 2).ambient.char((1, 0, 0))
+
+
+def _reversed_table(data, c):
+    """The point table of (data, c) with its points in reverse order."""
+    table = _PointTable(data, c)
+    table.enum = dataclasses.replace(table.enum, points=table.enum.points[::-1])
+    table.fixed = _Characters(data.fixed, table.enum.points, 0)
+    return table
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_point_sum_does_not_depend_on_term_order():
+    # each term is the same product at its point whatever the order, and the
+    # sum is correctly rounded, so reversing the points (or a glued column's
+    # weights) leaves every raw value bit for bit as it was
+    data = tw("A", 3, "diagram2")
+    table, rev = _table(data, 4), _reversed_table(data, 4)
+    assert [rev.fixed.char(lam)[::-1] for lam in ((0, 0), (1, 0))] == \
+        [table.fixed.char(lam) for lam in ((0, 0), (1, 0))]
+    alphabet = weight_alphabet(data, 4).members
+    for lam, mu, eta in itertools.product(alphabet, repeat=3):
+        args = dict(fixed=(lam, mu, eta), a=1)
+        assert _bits(_point_sum(rev, **args)) == _bits(_point_sum(table, **args)), \
+            (lam, mu, eta)
+    amb = ambient_alphabet(data, 4)
+    glued = [[(k % 3 - 1, lam) for k, lam in enumerate(alphabet)]]
+    for nu in amb:
+        args = dict(fixed=alphabet[:2], ambient=(nu,), a=1, dexp=1)
+        assert _bits(_point_sum(rev, **args)) == _bits(_point_sum(table, **args)), nu
+        args = dict(ambient=(nu,), glued=glued, dexp=-1)
+        want = _bits(_point_sum(table, **args))
+        assert _bits(_point_sum(rev, **args)) == want, nu
+        assert _bits(_point_sum(table, ambient=(nu,), glued=[glued[0][::-1]],
+                                dexp=-1)) == want, nu
+
+
+def test_point_sum_past_the_float_range_is_an_integrality_error():
+    assert _fsum([1 + 2j, 3 - 1j]) == 4 + 1j
+    for values in ([complex(1e308, 0)] * 2, [complex(0, math.inf), complex(0, -math.inf)]):
+        with pytest.raises(IntegralityError, match="float range"):
+            _fsum(values)
 
 
 def test_sigma_c_points_are_regular_for_the_ambient_algebra():

@@ -11,7 +11,7 @@ from sympy import Matrix
 from twistblocks import (IntegralityError, NonDominant, RootDatum, SingularPoint,
                          UnsupportedType, build_root_datum, build_twist,
                          enumerate_sigma_c)
-from twistblocks.liecore import _PHASE_BLOCK
+from twistblocks.liecore import _PHASE_BLOCK, Exponents
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, form_value,
                      invariant_form, kostka_numbers, number_of_roots_classical,
                      positive_coroots, roots_by_reflection, signed_orbit_bfs,
@@ -180,6 +180,24 @@ def test_phase_guard_refuses_phases_past_two_to_the_53():
     assert y.den == 6
     with pytest.raises(IntegralityError, match="2\\^53"):
         A1.character_at_exponents((2 ** 52,), [y])
+
+
+@pytest.mark.parametrize("lam", (2 ** 28, 2 ** 49))
+def test_huge_weight_character_allocates_nothing_in_proportion(lam):
+    # A1 at y = 1/6: the two phases of lam+rho are +-(lam + 1), so a count
+    # over their range would be 2 (lam + 1) entries long (4 GiB at 2^28);
+    # reduced mod den first, it is six.  sin(2 pi (lam+1) y) / sin(2 pi y),
+    # with lam + 1 reduced mod 6 so the reference is exact in floats
+    y = Exponents((1,), 6)
+    tracemalloc.start()
+    try:
+        got, = A1.character_at_exponents((lam,), [y])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = math.sin(2 * math.pi * ((lam + 1) % 6) / 6) / math.sin(2 * math.pi / 6)
+    assert abs(got - want) < 1e-12, (got, want)
+    assert peak < 1 << 20, peak
 
 
 def test_positive_roots_are_the_reflection_closure_by_height():
