@@ -7,8 +7,7 @@ factorization recursion.  See README for the CLI.
 
 from .alcove import (AlcoveEnumeration, FoldResult, enumerate_sigma_c,
                      fold_to_alcove, lattice_orders)
-from .dims import (CurveRequest, DimensionResult, ThreePointRequest,
-                   classical_verlinde, factorized_dimension,
+from .dims import (DimensionResult, classical_verlinde, factorized_dimension,
                    fusion_coefficient, general_dimension,
                    riemann_hurwitz_genus, twisted_three_point)
 from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
@@ -17,8 +16,7 @@ from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
                      VerlindeError)
 from .kacwalton import KWLedger, euler_characteristic_report, kac_walton_dimension
 from .liecore import Exponents, RootDatum, build_root_datum
-from .twist import (DIAGRAM2, DIAGRAM3, IDENTITY, STANDARD4, TwistData,
-                    TwistKind, WeightSet, ambient_alphabet, branch_to_fixed,
-                    build_twist, twist_kind, weight_alphabet)
+from .twist import (TwistData, WeightSet, ambient_alphabet, branch_to_fixed,
+                    build_twist, weight_alphabet)
 
 __version__ = "0.1.0"

@@ -59,14 +59,13 @@ def _points(twist, c):
       xi = (rho_check + lam_check)/(c+h).
     """
     fixed = twist.fixed
-    tag = twist.kind.tag
     top = max(fixed.symmetrizer)
-    if tag in ("diagram2", "diagram3"):
+    if twist.kind in ("diagram2", "diagram3"):
         labels = _bounded_lex([int(m) for m in fixed.marks], c)
         scale = [top] * fixed.rank
     else:
         labels = weight_alphabet(twist, c).members
-        scale = [(2 if tag == "standard4" else 1) * d for d in fixed.symmetrizer]
+        scale = [(2 if twist.kind == "standard4" else 1) * d for d in fixed.symmetrizer]
     den = twist.shifted_level(c) * top
     return [fixed.exponent_vector([s * (x + 1) for s, x in zip(scale, lab)], den)
             for lab in labels]

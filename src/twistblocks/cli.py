@@ -16,14 +16,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .dims import (CurveRequest, ThreePointRequest, classical_verlinde,
-                   factorized_dimension, fusion_coefficient, general_dimension,
-                   twisted_three_point)
+from .dims import (classical_verlinde, factorized_dimension, fusion_coefficient,
+                   general_dimension, twisted_three_point)
 from .errors import (IllegalPair, IntegralityError, SchemaError,
                      UnsupportedCombination, VerlindeError)
 from .kacwalton import kac_walton_dimension
 from .liecore import build_root_datum
-from .twist import ambient_alphabet, build_twist, twist_kind, weight_alphabet
+from .twist import ambient_alphabet, build_twist, weight_alphabet
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +31,7 @@ _COMPUTATIONS = ("classical", "three_point", "fusion_table", "general",
 
 _KIND_BY_NAME = {("identity", 1): "identity", ("diagram", 2): "diagram2",
                  ("diagram", 3): "diagram3", ("standard", 4): "standard4"}
+_NAME_BY_KIND = {tag: name for name, tag in _KIND_BY_NAME.items()}
 
 
 def _is_int(x):
@@ -59,13 +59,11 @@ class Request:
     out_format: str = "table"
 
     def echo(self):
-        kind = twist_kind(self.twist_tag)
-        name = "identity" if kind.tag == "identity" else \
-            ("standard" if kind.tag == "standard4" else "diagram")
+        name, order = _NAME_BY_KIND[self.twist_tag]
         return {
             "version": SCHEMA_VERSION,
             "algebra": {"type": self.algebra_type, "rank": self.algebra_rank},
-            "twist": {"kind": name, "order": kind.order},
+            "twist": {"kind": name, "order": order},
             "level": self.level,
             "computation": self.computation,
             "weights": {"twisted": [list(w) for w in self.weights_twisted],
@@ -187,6 +185,18 @@ def parse_request(text):
     if comp in ("general", "factorized"):
         need("weights.twisted", len(wt) == 2 * pairs,
              f"need 2*pairs = {2 * pairs} twisted weights")
+    # a field the computation does not read must hold its default, which is
+    # what the echo prints: a report never echoes an input it ignored
+    unread = f"{comp} does not read it; leave it out"
+    if comp in ("crosscheck", "fusion_table"):
+        need("weights", not wt and not wa, unread)
+        need("genus_bar", genus_bar == 0, unread)
+    elif comp == "classical":
+        need("weights.twisted", not wt, unread)
+    elif comp == "three_point":
+        need("genus_bar", genus_bar == 0, unread)
+    if comp not in ("general", "factorized"):
+        need("pairs", pairs == len(wt) // 2, unread)
 
     if problems:
         raise SchemaError("; ".join(problems))
@@ -216,12 +226,10 @@ def run_request(req):
                              "weights": [list(w) for w in req.weights_ambient]}, res)]
         pipelines = ("classical_verlinde",)
     elif req.computation == "three_point":
-        res = twisted_three_point(ThreePointRequest(
-            twist=twist, level=c, lam=req.weights_twisted[0],
-            mu=req.weights_twisted[1], nu=req.weights_ambient[0]))
-        rows = [_result_row({"lambda": list(req.weights_twisted[0]),
-                             "mu": list(req.weights_twisted[1]),
-                             "nu": list(req.weights_ambient[0])}, res)]
+        (lam, mu), (nu,) = req.weights_twisted, req.weights_ambient
+        res = twisted_three_point(twist, c, lam, mu, nu)
+        rows = [_result_row({"lambda": list(lam), "mu": list(mu), "nu": list(nu)},
+                            res)]
         pipelines = ("twisted_verlinde",)
     elif req.computation == "fusion_table":
         alphabet = weight_alphabet(twist, c).members
@@ -234,11 +242,9 @@ def run_request(req):
                         {"lambda": list(a), "mu": list(b), "eta": list(e)}, res))
         pipelines = ("twisted_verlinde",)
     elif req.computation in ("general", "factorized"):
-        creq = CurveRequest(twist=twist, level=c, genus_bar=req.genus_bar,
-                            lambda_dagger=req.weights_twisted, mu=req.weights_ambient)
         fn = general_dimension if req.computation == "general" else factorized_dimension
-        res = fn(creq)
-        rows = [_result_row({"genus_bar": req.genus_bar, "pairs": creq.pairs,
+        res = fn(twist, c, req.genus_bar, req.weights_twisted, req.weights_ambient)
+        rows = [_result_row({"genus_bar": req.genus_bar, "pairs": req.pairs,
                              "lambda_dagger": [list(w) for w in req.weights_twisted],
                              "mu": [list(w) for w in req.weights_ambient]}, res)]
         pipelines = ("twisted_verlinde" if req.computation == "general"
@@ -250,9 +256,8 @@ def run_request(req):
         for a in alphabet:
             for b in alphabet:
                 for n in amb:
-                    r3 = ThreePointRequest(twist=twist, level=c, lam=a, mu=b, nu=n)
-                    res = twisted_three_point(r3)
-                    kw, _ = kac_walton_dimension(r3)
+                    res = twisted_three_point(twist, c, a, b, n)
+                    kw, _ = kac_walton_dimension(twist, c, a, b, n)
                     rows.append({"inputs": {"lambda": list(a), "mu": list(b),
                                             "nu": list(n)},
                                  "value": res.value, "residual": res.residual,

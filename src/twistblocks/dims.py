@@ -27,36 +27,6 @@ class DimensionResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class ThreePointRequest:
-    """Cover of P^1 with ramified pair (0, infinity) and one free point."""
-    twist: object
-    level: int
-    lam: tuple
-    mu: tuple
-    nu: tuple
-
-
-@dataclass(frozen=True)
-class CurveRequest:
-    """Genus g-bar base with `pairs` ramified pairs and b free points.
-
-    lambda_dagger holds the 2*pairs twisted weights (fixed-subalgebra
-    coordinates); mu holds the b untwisted weights (ambient coordinates).
-    All nontrivial ramifications share the single standard twist, which
-    models gamma_{2k-1} gamma_{2k} = 1 for every pair.
-    """
-    twist: object
-    level: int
-    genus_bar: int
-    lambda_dagger: tuple
-    mu: tuple
-
-    @property
-    def pairs(self):
-        return len(self.lambda_dagger) // 2
-
-
 def _finalize(raw, context, allow_negative=False):
     """Round raw to the nearest integer and carry its residual.
 
@@ -220,10 +190,11 @@ def classical_verlinde(rd, c, g, weights):
                      f"classical N_{g}{weights}")
 
 
-def twisted_three_point(req):
+def twisted_three_point(twist, c, lam, mu, nu):
     """N(sigma; lam, mu, nu) by the twisted Verlinde sum."""
-    lam, mu, nu = _check_three_point(req, "the twisted Verlinde formula")
-    table = _table(req.twist, req.level)
+    lam, mu, nu = _check_three_point(twist, c, lam, mu, nu,
+                                     "the twisted Verlinde formula")
+    table = _table(twist, c)
     raw = _point_sum(table, fixed=(lam, mu), ambient=(nu,), a=1) \
         / table.enum.order_Tsigma
     return _finalize(raw, f"N(sigma;{lam},{mu},{nu})")
@@ -237,7 +208,7 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     occur from level 2 on (e.g. c^{w2}_{w2,w2} = -1 for (A3, diagram2)).
     """
     twist._require_standard("fusion coefficients")
-    if twist.kind.tag == "identity":
+    if twist.kind == "identity":
         raise NotInAlphabet("twisted fusion needs a nontrivial twist")
     lam = _check_twisted(twist, c, lam, "lambda")
     mu = _check_twisted(twist, c, mu, "mu")
@@ -248,52 +219,55 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     return _finalize(raw, f"c^{eta}_{lam},{mu}", allow_negative=True)
 
 
-def _check_curve(req):
-    twist, c = req.twist, req.level
+def _check_curve(twist, c, genus_bar, lambda_dagger, mu):
     twist._require_standard("the general dimension formula")
-    if len(req.lambda_dagger) % 2 != 0:
+    if len(lambda_dagger) % 2 != 0:
         raise NotInAlphabet("lambda_dagger must list 2a paired weights")
-    a = req.pairs
-    b = len(req.mu)
-    if req.genus_bar < 0:
+    a = len(lambda_dagger) // 2
+    if genus_bar < 0:
         raise ValueError("genus_bar must be >= 0")
-    if a > 0 and twist.kind.tag == "identity":
+    if a > 0 and twist.kind == "identity":
         raise NotInAlphabet("ramified pairs require a nontrivial twist")
     # two paired ramified points alone are admissible (z -> z^m cover);
     # otherwise demand the usual stability
-    if req.genus_bar == 0 and a == 0 and b < 3:
+    if genus_bar == 0 and a == 0 and len(mu) < 3:
         raise UnstableInput("genus 0 with no ramification needs >= 3 points")
     lams = tuple(_check_twisted(twist, c, w, f"lambda_dagger[{i}]")
-                 for i, w in enumerate(req.lambda_dagger))
+                 for i, w in enumerate(lambda_dagger))
     mus = tuple(_check_ambient(twist, c, w, f"mu[{i}]")
-                for i, w in enumerate(req.mu))
-    return a, b, lams, mus
+                for i, w in enumerate(mu))
+    return a, lams, mus
 
 
-def general_dimension(req):
+def general_dimension(twist, c, genus_bar, lambda_dagger, mu):
     """Dimension for a genus g-bar base with a ramified pairs, b free points.
+
+    lambda_dagger holds the 2a twisted weights (fixed-subalgebra
+    coordinates); mu holds the b untwisted weights (ambient coordinates).
+    All nontrivial ramifications share the single standard twist, which
+    models gamma_{2k-1} gamma_{2k} = 1 for every pair.
 
     N = |T_c|^{g-1+a} / |T_c^sigma|^a *
         sum over T_c^{sigma,reg}/W^sigma of
         prod chi_{lambda_i}(t) prod chi_{mu_j}(t) Delta_sigma(t)^a / Delta(t)^{g-1+a}.
     """
-    a, b, lams, mus = _check_curve(req)
-    twist, c, gbar = req.twist, req.level, req.genus_bar
+    a, lams, mus = _check_curve(twist, c, genus_bar, lambda_dagger, mu)
     if a == 0:
         # no ramified pairs: the cover contributes nothing and the formula
         # degenerates to the classical sum over the full regular-class set
-        raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus)
-        return _finalize(raw, f"N_({gbar},a=0){mus}")
+        raw = _classical_raw(build_twist(twist.ambient, "identity"), c,
+                             genus_bar, mus)
+        return _finalize(raw, f"N_({genus_bar},a=0){mus}")
     table = _table(twist, c)
-    dexp = gbar - 1 + a
+    dexp = genus_bar - 1 + a
     total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
     enum = table.enum
     factor = _ratio(enum.order_T ** dexp, enum.order_Tsigma ** a,
                     f"|T_c|^{dexp} / |T_c^sigma|^{a}")
-    return _finalize(total * factor, f"N_({gbar},a={a}){lams}{mus}")
+    return _finalize(total * factor, f"N_({genus_bar},a={a}){lams}{mus}")
 
 
-def factorized_dimension(req):
+def factorized_dimension(twist, c, genus_bar, lambda_dagger, mu):
     """Same dimension through the factorization recursion.
 
     Pair k is glued along D_c into one column G_k = sum over nu of
@@ -302,19 +276,18 @@ def factorized_dimension(req):
     sum over all tuples of gluing weights of three-point numbers times
     classical Verlinde numbers.  The residual covers the three-point inputs.
     """
-    a, b, lams, mus = _check_curve(req)
-    twist, c, gbar = req.twist, req.level, req.genus_bar
+    a, lams, mus = _check_curve(twist, c, genus_bar, lambda_dagger, mu)
     dc = ambient_alphabet(twist, c)
     glued, inputs = [], []
     for k in range(a):
-        n3 = [twisted_three_point(ThreePointRequest(
-                  twist=twist, level=c, lam=lams[2 * k], mu=lams[2 * k + 1],
-                  nu=nu)) for nu in dc]
+        n3 = [twisted_three_point(twist, c, lams[2 * k], lams[2 * k + 1], nu)
+              for nu in dc]
         glued.append([(r.value, twist.ambient.dual_weight(nu))
                       for r, nu in zip(n3, dc)])
         inputs += n3
-    raw = _classical_raw(build_twist(twist.ambient, "identity"), c, gbar, mus, glued)
-    res = _finalize(raw, f"factorized N_({gbar},a={a}){lams}{mus}")
+    raw = _classical_raw(build_twist(twist.ambient, "identity"), c, genus_bar,
+                         mus, glued)
+    res = _finalize(raw, f"factorized N_({genus_bar},a={a}){lams}{mus}")
     return replace(res, residual=max([res.residual] + [r.residual for r in inputs]))
 
 

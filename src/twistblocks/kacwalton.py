@@ -52,7 +52,7 @@ def _folded(twist, c, mu, nu):
     return tuple(contributions), totals
 
 
-def kac_walton_dimension(req):
+def kac_walton_dimension(twist, c, lam, mu, nu):
     """Signed count of tensor constituents folding onto lambda.
 
     Steps: branch nu to the fixed subalgebra; tensor with V(mu); fold every
@@ -60,20 +60,19 @@ def kac_walton_dimension(req):
     sign * multiplicity over the folds that land on lambda.  The ledger and
     the totals are built once per (mu, nu) and shared by every lambda.
     """
-    lam, mu, nu = _check_three_point(req, "the Kac-Walton recursion")
-    contributions, totals = _folded(req.twist, req.level, mu, nu)
+    lam, mu, nu = _check_three_point(twist, c, lam, mu, nu,
+                                     "the Kac-Walton recursion")
+    contributions, totals = _folded(twist, c, mu, nu)
     total = totals.get(lam, 0)
     return total, KWLedger(contributions=contributions, total=total)
 
 
-def euler_characteristic_report(req):
+def euler_characteristic_report(twist, c, lam, mu, nu):
     """Readable per-parity breakdown of the alternating sum."""
-    total, ledger = kac_walton_dimension(req)
-    twist = req.twist
-    lam = tuple(map(int, req.lam))
+    total, ledger = kac_walton_dimension(twist, c, lam, mu, nu)
     header = (f"Kac-Walton ledger: ({twist.ambient.lie_type}{twist.ambient.rank}, "
-              f"{twist.kind.tag}), c={req.level}, lambda={req.lam}, "
-              f"mu={req.mu}, nu={req.nu}")
+              f"{twist.kind}), c={c}, lambda={lam}, mu={mu}, nu={nu}")
+    lam = tuple(map(int, lam))
     by_parity = {0: 0, 1: 0}
     walls = 0
     for con in ledger.contributions:

@@ -13,27 +13,6 @@ from .liecore import Exponents, RootDatum, build_root_datum
 from .util import memo
 
 
-@dataclass(frozen=True)
-class TwistKind:
-    tag: str    # identity | diagram2 | diagram3 | standard4
-    order: int  # 1, 2, 3 or 4
-
-
-IDENTITY = TwistKind("identity", 1)
-DIAGRAM2 = TwistKind("diagram2", 2)
-DIAGRAM3 = TwistKind("diagram3", 3)
-STANDARD4 = TwistKind("standard4", 4)
-
-_KINDS = {k.tag: k for k in (IDENTITY, DIAGRAM2, DIAGRAM3, STANDARD4)}
-
-
-def twist_kind(tag):
-    try:
-        return _KINDS[tag]
-    except KeyError:
-        raise IllegalPair(f"unknown twist kind {tag!r}") from None
-
-
 def _fold_spec(ambient, tag):
     """Node orbits of the diagram part and the fixed-algebra label.
 
@@ -65,6 +44,8 @@ def _fold_spec(ambient, tag):
             n = r // 2
             orbits = [(i, r - 1 - i) for i in range(n)]
             return ("C", n, orbits, [1] * n, True)
+    else:
+        raise IllegalPair(f"unknown twist kind {tag!r}")
     raise IllegalPair(f"no {tag} automorphism row for {t}{r}")
 
 
@@ -82,7 +63,7 @@ class TwistData:
     caches downstream are keyed by that instance.
     """
     ambient: RootDatum
-    kind: TwistKind
+    kind: str                             # identity | diagram2 | diagram3 | standard4
     fixed: RootDatum
     restriction_matrix: np.ndarray        # fixed-weight coords of a restricted ambient weight
     lattice_M: tuple                      # basis vectors of the translation lattice M in
@@ -122,6 +103,7 @@ def _coroot_coords_of_dual(rd, root):
     return tuple(int(x) for x in rd.coroot_pairings[k])
 
 
+@memo
 def build_twist(ambient, kind):
     """Assemble TwistData for a legal (ambient, kind) pair.
 
@@ -130,22 +112,15 @@ def build_twist(ambient, kind):
     Cartan matrix is recomputed from the node orbits and checked against the
     table row, so a labeling mistake cannot pass silently.
     """
-    if isinstance(kind, str):
-        kind = twist_kind(kind)
-    return _twist(ambient, kind)
-
-
-@memo
-def _twist(ambient, kind):
-    if kind.tag == "identity":
+    if kind == "identity":
         return _identity_twist(ambient)
 
-    ftype, frank, orbits, cscale, standard = _fold_spec(ambient, kind.tag)
+    ftype, frank, orbits, cscale, standard = _fold_spec(ambient, kind)
     fixed = _fixed_datum(ftype, frank)
 
     # scales of the restricted simple roots: 2 alpha_n| on the standard4 row
     rscale = [1] * frank
-    if kind.tag == "standard4":
+    if kind == "standard4":
         rscale[frank - 1] = 2
 
     amb_a = ambient.cartan
@@ -155,7 +130,7 @@ def _twist(ambient, kind):
             o_j = orbits[j][0]
             afix[i, j] = rscale[j] * cscale[i] * sum(int(amb_a[k][o_j]) for k in orbits[i])
     if not np.array_equal(afix, fixed.cartan):
-        raise AssertionError(f"folded Cartan mismatch for ({ambient}, {kind.tag}): "
+        raise AssertionError(f"folded Cartan mismatch for ({ambient}, {kind}): "
                              f"{afix.tolist()} vs {fixed.cartan.tolist()}")
 
     rmat = np.zeros((frank, ambient.rank), dtype=np.int64)
@@ -163,7 +138,7 @@ def _twist(ambient, kind):
         for k in orb:
             rmat[i, k] = cscale[i]
 
-    if kind.tag == "standard4":
+    if kind == "standard4":
         theta_l = fixed.highest_root
         assert all(x % 2 == 0 for x in theta_l)
         theta_sigma = tuple(x // 2 for x in theta_l)
@@ -193,7 +168,7 @@ def _identity_twist(ambient):
     lattice = tuple(tuple(x * (top // d) for x in alpha)
                     for alpha, d in zip(ambient.simple_roots, ambient.symmetrizer))
     assert sum(marks) == ambient.dual_coxeter - 1
-    return TwistData(ambient=ambient, kind=IDENTITY, fixed=ambient,
+    return TwistData(ambient=ambient, kind="identity", fixed=ambient,
                      restriction_matrix=eye, lattice_M=lattice,
                      theta_sigma=ambient.highest_root, level_marks=marks,
                      is_standard=True)
@@ -242,7 +217,7 @@ def weight_alphabet(twist, c):
 def _alphabet(twist, c):
     """weight_alphabet, built once per (twist, c)."""
     members = _bounded_lex([int(m) for m in twist.level_marks], c)
-    if twist.kind.tag != "identity":
+    if twist.kind != "identity":
         for lam in members:
             assert twist.fixed.dual_weight(lam) == lam, \
                 "twisted alphabet members must be self-dual"
@@ -275,16 +250,15 @@ def _check_ambient(twist, c, nu, slot):
     return nu
 
 
-def _check_three_point(req, what):
-    """(lam, mu, nu) of a three-point request: a standard nontrivial twist,
+def _check_three_point(twist, c, lam, mu, nu, what):
+    """(lam, mu, nu) as tuples of ints, for a standard nontrivial twist,
     lam and mu in D_{c,sigma}, nu in D_c.  `what` names the computation."""
-    twist, c = req.twist, req.level
     twist._require_standard(what)
-    if twist.kind.tag == "identity":
+    if twist.kind == "identity":
         raise NotInAlphabet(f"{what} needs a nontrivial twist")
-    return (_check_twisted(twist, c, req.lam, "lambda"),
-            _check_twisted(twist, c, req.mu, "mu"),
-            _check_ambient(twist, c, req.nu, "nu"))
+    return (_check_twisted(twist, c, lam, "lambda"),
+            _check_twisted(twist, c, mu, "mu"),
+            _check_ambient(twist, c, nu, "nu"))
 
 
 def branch_to_fixed(twist, nu):
@@ -302,7 +276,7 @@ def branch_to_fixed(twist, nu):
 
 @memo
 def _branch(twist, nu):
-    if twist.kind.tag == "identity":
+    if twist.kind == "identity":
         return {nu: 1}
     return _branch_uncached(twist, nu)
 

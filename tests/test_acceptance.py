@@ -7,9 +7,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from twistblocks import (CurveRequest, ThreePointRequest, ambient_alphabet,
-                         build_root_datum, build_twist, classical_verlinde,
-                         enumerate_sigma_c, factorized_dimension,
+from twistblocks import (ambient_alphabet, build_root_datum, build_twist,
+                         classical_verlinde, enumerate_sigma_c, factorized_dimension,
                          fusion_coefficient, general_dimension,
                          kac_walton_dimension, riemann_hurwitz_genus,
                          twisted_three_point, weight_alphabet)
@@ -41,10 +40,8 @@ def test_acceptance_1_pipeline_agreement():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb:
-                    req = ThreePointRequest(twist=data, level=c,
-                                            lam=lam, mu=mu, nu=nu)
-                    res = twisted_three_point(req)
-                    kw, _ = kac_walton_dimension(req)
+                    res = twisted_three_point(data, c, lam, mu, nu)
+                    kw, _ = kac_walton_dimension(data, c, lam, mu, nu)
                     if res.value != kw or res.residual >= 1e-5:
                         failures.append((t, r, kind, c, lam, mu, nu,
                                          res.value, kw, res.residual))
@@ -64,10 +61,8 @@ def test_acceptance_2_factorization_identity():
             for b in (0, 1):
                 for lams in itertools.product(alphabet, repeat=2 * a):
                     for mus in itertools.product(amb, repeat=b):
-                        req = CurveRequest(twist=data, level=c, genus_bar=gbar,
-                                           lambda_dagger=lams, mu=mus)
-                        g = general_dimension(req).value
-                        f = factorized_dimension(req).value
+                        g = general_dimension(data, c, gbar, lams, mus).value
+                        f = factorized_dimension(data, c, gbar, lams, mus).value
                         if g != f:
                             failures.append((gbar, a, b, lams, mus, g, f))
     _report(2, "general_dimension equals factorized_dimension exactly on the "
@@ -88,9 +83,7 @@ def test_acceptance_3_classical_reduction():
                 for combo in itertools.combinations_with_replacement(weights, s):
                     want = sl2_verlinde(c, g, [w[0] for w in combo])
                     got = classical_verlinde(rd, c, g, combo).value
-                    req = CurveRequest(twist=ident, level=c, genus_bar=g,
-                                       lambda_dagger=(), mu=combo)
-                    via_general = general_dimension(req).value
+                    via_general = general_dimension(ident, c, g, (), combo).value
                     if not (got == want == via_general):
                         failures.append((c, g, combo, got, via_general, want))
     _report(3, "general_dimension (a=0, trivial twist) = classical_verlinde = "

@@ -33,7 +33,7 @@ def test_lattice_orders_snf_oracle():
     for data in rows:
         rd = data.ambient
         longs = sorted(long_roots(rd.cartan))
-        if data.kind.tag == "identity":
+        if data.kind == "identity":
             # adding the basis of M to the long roots keeps their index in P,
             # so M lies in the long-root lattice
             with_m = longs + list(data.lattice_M)

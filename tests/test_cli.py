@@ -219,7 +219,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 def _three_point_file(tmp_path, monkeypatch, raw):
     """A three_point request whose pipeline returns the given raw value."""
     monkeypatch.setattr("twistblocks.cli.twisted_three_point",
-                        lambda req: _finalize(raw, "patched three-point"))
+                        lambda *args: _finalize(raw, "patched three-point"))
     path = tmp_path / "three.json"
     path.write_text(json.dumps(make_request(
         computation="three_point",
@@ -369,6 +369,46 @@ _KINDS = (
 def test_structured_writer_matches_json(doc):
     rep = run_request(parse_request(json.dumps(doc)))
     assert _first_difference(_emitted(rep, "structured"), _json_oracle(rep)) is None
+
+
+@pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
+def test_echoed_request_gives_the_same_report(doc):
+    text = emit_report(run_request(parse_request(json.dumps(doc))), "structured")
+    echo = json.loads(text)["request"]
+    again = emit_report(run_request(parse_request(json.dumps(echo))), "structured")
+    assert _first_difference(again, text) is None
+
+
+_CLASSICAL, _THREE_POINT = _KINDS[0], _KINDS[1]
+# (request, field) for each field a computation does not read, set to a
+# value other than the default the echo prints
+_STRAY_FIELDS = (
+    (make_request(weights={"twisted": [[1, 0]]}), "weights"),
+    (make_request(weights={"ambient": [[1, 0, 0]]}), "weights"),
+    (make_request(genus_bar=1), "genus_bar"),
+    (make_request(pairs=1), "pairs"),
+    (make_request(computation="fusion_table", weights={"twisted": [[1, 0]]}), "weights"),
+    (make_request(computation="fusion_table", weights={"ambient": [[1, 0, 0]]}), "weights"),
+    (make_request(computation="fusion_table", genus_bar=1), "genus_bar"),
+    (make_request(computation="fusion_table", pairs=1), "pairs"),
+    ({**_CLASSICAL, "weights": {**_CLASSICAL["weights"], "twisted": [[1]]}},
+     "weights.twisted"),
+    ({**_CLASSICAL, "pairs": 1}, "pairs"),
+    ({**_THREE_POINT, "genus_bar": 1}, "genus_bar"),
+    ({**_THREE_POINT, "pairs": 0}, "pairs"),
+)
+
+
+@pytest.mark.parametrize("doc, field", _STRAY_FIELDS,
+                         ids=[f"{d['computation']}-{f}-{i}"
+                              for i, (d, f) in enumerate(_STRAY_FIELDS)])
+def test_field_the_computation_does_not_read_exits_2(doc, field, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["-", "--format", "structured"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {field}: "), err
+    assert "does not read" in err
 
 
 def _row(i, value, residual):

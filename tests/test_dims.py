@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistblocks import (CurveRequest, InconsistentRamification,
-                         IntegralityError, NotInAlphabet, ThreePointRequest, UnstableInput,
+from twistblocks import (InconsistentRamification,
+                         IntegralityError, NotInAlphabet, UnstableInput,
                          ambient_alphabet,
                          build_root_datum, build_twist, classical_verlinde,
                          factorized_dimension, fusion_coefficient,
@@ -117,8 +117,7 @@ def test_three_point_vacuum_is_one():
         data = tw(t, r, kind)
         z = tuple([0] * data.fixed.rank)
         za = tuple([0] * r)
-        res = twisted_three_point(ThreePointRequest(
-            twist=data, level=1, lam=z, mu=z, nu=za))
+        res = twisted_three_point(data, 1, z, z, za)
         assert res.value == 1
         assert res.residual < 1e-10
 
@@ -131,8 +130,7 @@ def test_three_point_vacuum_nu_gives_delta():
             alphabet = weight_alphabet(data, c).members
             for lam in alphabet:
                 for mu in alphabet:
-                    got = twisted_three_point(ThreePointRequest(
-                        twist=data, level=c, lam=lam, mu=mu, nu=za)).value
+                    got = twisted_three_point(data, c, lam, mu, za).value
                     assert got == (1 if lam == mu else 0)
 
 
@@ -145,25 +143,20 @@ def test_three_point_symmetric_in_lam_mu():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb[:4]:
-                    a = twisted_three_point(ThreePointRequest(
-                        twist=data, level=c, lam=lam, mu=mu, nu=nu)).value
-                    b = twisted_three_point(ThreePointRequest(
-                        twist=data, level=c, lam=mu, mu=lam, nu=nu)).value
+                    a = twisted_three_point(data, c, lam, mu, nu).value
+                    b = twisted_three_point(data, c, mu, lam, nu).value
                     assert a == b
 
 
 def test_three_point_membership_errors():
     data = tw("A", 3, "diagram2")
     with pytest.raises(NotInAlphabet):
-        twisted_three_point(ThreePointRequest(
-            twist=data, level=1, lam=(0, 1), mu=(0, 0), nu=(0, 0, 0)))
+        twisted_three_point(data, 1, (0, 1), (0, 0), (0, 0, 0))
     with pytest.raises(NotInAlphabet):
-        twisted_three_point(ThreePointRequest(
-            twist=data, level=1, lam=(0, 0), mu=(0, 0), nu=(1, 1, 0)))
+        twisted_three_point(data, 1, (0, 0), (0, 0), (1, 1, 0))
     ident = tw("A", 3, "identity")
     with pytest.raises(NotInAlphabet):
-        twisted_three_point(ThreePointRequest(
-            twist=ident, level=1, lam=(0, 0, 0), mu=(0, 0, 0), nu=(0, 0, 0)))
+        twisted_three_point(ident, 1, (0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
 # -- fusion ring -------------------------------------------------------------
@@ -229,8 +222,7 @@ def test_fusion_associativity_exhaustive_level_one():
 
 def test_general_genus_one_example():
     data = tw("A", 1, "identity")
-    req = CurveRequest(twist=data, level=1, genus_bar=1, lambda_dagger=(), mu=())
-    assert general_dimension(req).value == 2
+    assert general_dimension(data, 1, 1, (), ()).value == 2
 
 
 def test_general_reduces_to_classical():
@@ -241,9 +233,7 @@ def test_general_reduces_to_classical():
         dc = ambient_alphabet(data, c)
         for g in (0, 1, 2):
             for mus in itertools.combinations_with_replacement(dc[:3], 3):
-                req = CurveRequest(twist=data, level=c, genus_bar=g,
-                                   lambda_dagger=(), mu=mus)
-                assert general_dimension(req).value == \
+                assert general_dimension(data, c, g, (), mus).value == \
                     classical_verlinde(rd, c, g, mus).value
 
 
@@ -251,9 +241,8 @@ def test_general_two_point_cover_is_delta():
     data = tw("A", 3, "diagram2")
     for lam in weight_alphabet(data, 1):
         for mu in weight_alphabet(data, 1):
-            req = CurveRequest(twist=data, level=1, genus_bar=0,
-                               lambda_dagger=(lam, mu), mu=())
-            assert general_dimension(req).value == (1 if lam == mu else 0)
+            assert general_dimension(data, 1, 0, (lam, mu), ()).value == \
+                (1 if lam == mu else 0)
 
 
 def test_factorization_identity_grid():
@@ -272,21 +261,20 @@ def test_factorization_identity_grid():
                 lam_pool = list(itertools.product(alphabet, repeat=2 * a))
                 for lams in lam_pool[:6] + lam_pool[-2:]:
                     for mus in ([], [amb[-1]]):
-                        req = CurveRequest(twist=data, level=c, genus_bar=gbar,
-                                           lambda_dagger=lams, mu=tuple(mus))
-                        assert general_dimension(req).value == \
-                            factorized_dimension(req).value, (t, r, kind, c,
-                                                              gbar, lams, mus)
+                        args = (data, c, gbar, lams, tuple(mus))
+                        assert general_dimension(*args).value == \
+                            factorized_dimension(*args).value, (t, r, kind, c,
+                                                                gbar, lams, mus)
 
 
 def test_factorization_four_pairs():
     # 35^4 = 1500625 tuples of gluing weights: out of reach for a sum over
     # tuples, one point sum with four glued columns for factorization
-    req = CurveRequest(twist=tw("A", 4, "standard4"), level=3, genus_bar=0,
-                       lambda_dagger=((0, 0), (1, 0), (0, 1), (0, 0),
-                                      (1, 0), (0, 0), (0, 0), (1, 0)),
-                       mu=((0, 0, 0, 3),))
-    assert general_dimension(req).value == factorized_dimension(req).value == 1120000
+    args = (tw("A", 4, "standard4"), 3, 0,
+            ((0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (1, 0)),
+            ((0, 0, 0, 3),))
+    assert general_dimension(*args).value == factorized_dimension(*args).value \
+        == 1120000
 
 
 def test_factorized_residual_covers_its_inputs():
@@ -295,33 +283,27 @@ def test_factorized_residual_covers_its_inputs():
     for t, r, kind in (("A", 3, "diagram2"), ("D", 4, "diagram3")):
         data = tw(t, r, kind)
         lam = weight_alphabet(data, 2).members[-1]
-        req = CurveRequest(twist=data, level=2, genus_bar=1,
-                           lambda_dagger=(lam, lam), mu=())
-        inputs = [twisted_three_point(ThreePointRequest(
-                      twist=data, level=2, lam=lam, mu=lam, nu=nu)).residual
+        inputs = [twisted_three_point(data, 2, lam, lam, nu).residual
                   for nu in ambient_alphabet(data, 2)]
-        assert factorized_dimension(req).residual >= max(inputs) > 0
+        assert factorized_dimension(data, 2, 1, (lam, lam), ()).residual \
+            >= max(inputs) > 0
 
 
 def test_factorized_empty_product_is_classical():
     data = tw("A", 3, "diagram2")
-    req = CurveRequest(twist=data, level=1, genus_bar=1,
-                       lambda_dagger=(), mu=((1, 0, 0),))
+    args = (data, 1, 1, (), ((1, 0, 0),))
     rd = data.ambient
-    assert factorized_dimension(req).value == \
+    assert factorized_dimension(*args).value == \
         classical_verlinde(rd, 1, 1, [(1, 0, 0)]).value
-    assert general_dimension(req).value == factorized_dimension(req).value
+    assert general_dimension(*args).value == factorized_dimension(*args).value
 
 
 def test_curve_request_stability():
     data = tw("A", 3, "diagram2")
     with pytest.raises(UnstableInput):
-        general_dimension(CurveRequest(twist=data, level=1, genus_bar=0,
-                                       lambda_dagger=(), mu=((0, 0, 0),)))
+        general_dimension(data, 1, 0, (), ((0, 0, 0),))
     with pytest.raises(NotInAlphabet):
-        general_dimension(CurveRequest(
-            twist=tw("A", 3, "identity"), level=1, genus_bar=0,
-            lambda_dagger=((0, 0), (0, 0)), mu=()))
+        general_dimension(tw("A", 3, "identity"), 1, 0, ((0, 0), (0, 0)), ())
 
 
 def test_dimension_results_are_clean_integers():
@@ -331,8 +313,7 @@ def test_dimension_results_are_clean_integers():
     amb = ambient_alphabet(data, c)
     for lam in alphabet:
         for nu in amb[:5]:
-            res = twisted_three_point(ThreePointRequest(
-                twist=data, level=c, lam=lam, mu=lam, nu=nu))
+            res = twisted_three_point(data, c, lam, lam, nu)
             assert res.value >= 0
             assert res.residual < 1e-5
             assert abs(res.raw.imag) < 1e-7
@@ -346,11 +327,9 @@ def test_float_overflow_is_an_integrality_error():
             classical_verlinde(A1, c, 600, [])
     data = tw("A", 3, "diagram2")
     for lam in ((), ((0, 0), (0, 0))):
-        req = CurveRequest(twist=data, level=2, genus_bar=300,
-                           lambda_dagger=lam, mu=())
         for formula in (general_dimension, factorized_dimension):
             with pytest.raises(IntegralityError, match="float range"):
-                formula(req)
+                formula(data, 2, 300, lam, ())
     for raw in (math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
         with pytest.raises(IntegralityError, match="not finite"):
             _finalize(raw, "overflowed sum")
@@ -366,9 +345,8 @@ _FLOAT_GUARD = pytest.mark.xfail(strict=True, raises=IntegralityError,
 @_FLOAT_GUARD
 @pytest.mark.parametrize("formula", [general_dimension, factorized_dimension])
 def test_d4_triality_genus_two_curve_is_an_integer(formula):
-    req = CurveRequest(twist=tw("D", 4, "diagram3"), level=3, genus_bar=2,
-                       lambda_dagger=((0, 1),) + ((0, 0),) * 5, mu=((0, 0, 1, 2),))
-    res = formula(req)
+    res = formula(tw("D", 4, "diagram3"), 3, 2, ((0, 1),) + ((0, 0),) * 5,
+                  ((0, 0, 1, 2),))
     assert res.value >= 0
     assert res.residual < 1e-5
 

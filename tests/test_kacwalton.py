@@ -4,8 +4,7 @@ import os
 import pytest
 
 import twistblocks
-from twistblocks import (NotInAlphabet, ThreePointRequest,
-                         UnsupportedCombination, ambient_alphabet,
+from twistblocks import (NotInAlphabet, UnsupportedCombination, ambient_alphabet,
                          branch_to_fixed, build_root_datum, build_twist,
                          euler_characteristic_report, fold_to_alcove,
                          kac_walton_dimension, twisted_three_point,
@@ -18,13 +17,9 @@ def tw(t, r, kind):
     return build_twist(build_root_datum(t, r), kind)
 
 
-def req(data, c, lam, mu, nu):
-    return ThreePointRequest(twist=data, level=c, lam=lam, mu=mu, nu=nu)
-
-
 def test_vacuum_ledger():
     data = tw("A", 3, "diagram2")
-    total, ledger = kac_walton_dimension(req(data, 1, (0, 0), (0, 0), (0, 0, 0)))
+    total, ledger = kac_walton_dimension(data, 1, (0, 0), (0, 0), (0, 0, 0))
     assert total == 1
     assert len(ledger.contributions) == 1
     con = ledger.contributions[0]
@@ -38,7 +33,7 @@ def test_tensor_unit_with_vacuum_nu():
         data = tw(t, r, kind)
         za = tuple([0] * r)
         for lam in weight_alphabet(data, 1):
-            total, ledger = kac_walton_dimension(req(data, 1, lam, lam, za))
+            total, ledger = kac_walton_dimension(data, 1, lam, lam, za)
             assert total == 1
             assert [c.eta for c in ledger.contributions if c.weight == lam] == [lam]
 
@@ -51,9 +46,9 @@ def test_exhaustive_agreement_with_verlinde_table():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb:
-                    r3 = req(data, c, lam, mu, nu)
-                    assert kac_walton_dimension(r3)[0] == \
-                        twisted_three_point(r3).value, (t, r, kind, c, lam, mu, nu)
+                    r3 = (data, c, lam, mu, nu)
+                    assert kac_walton_dimension(*r3)[0] == \
+                        twisted_three_point(*r3).value, (t, r, kind, c, lam, mu, nu)
 
 
 def test_lam_mu_swap_symmetry():
@@ -66,8 +61,8 @@ def test_lam_mu_swap_symmetry():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb[:5]:
-                    a = kac_walton_dimension(req(data, c, lam, mu, nu))[0]
-                    b = kac_walton_dimension(req(data, c, mu, lam, nu))[0]
+                    a = kac_walton_dimension(data, c, lam, mu, nu)[0]
+                    b = kac_walton_dimension(data, c, mu, lam, nu)[0]
                     assert a == b
 
 
@@ -79,7 +74,7 @@ def test_totals_non_negative():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb:
-                    assert kac_walton_dimension(req(data, 1, lam, mu, nu))[0] >= 0
+                    assert kac_walton_dimension(data, 1, lam, mu, nu)[0] >= 0
 
 
 def test_classical_limit_no_folding():
@@ -94,7 +89,7 @@ def test_classical_limit_no_folding():
                 plain = 0
                 for eta_b, b in branch_to_fixed(data, nu).items():
                     plain += b * fixed.tensor_multiplicities(mu, eta_b).get(lam, 0)
-                total, ledger = kac_walton_dimension(req(data, big_c, lam, mu, nu))
+                total, ledger = kac_walton_dimension(data, big_c, lam, mu, nu)
                 assert total == plain
                 assert all(c.sign == 1 for c in ledger.contributions)
 
@@ -128,7 +123,7 @@ def test_cached_decomposition_matches_direct_ledger():
             for nu in ambient_alphabet(data, c):
                 _folded.cache.clear()
                 for lam in alphabet:
-                    got = kac_walton_dimension(req(data, c, lam, mu, nu))
+                    got = kac_walton_dimension(data, c, lam, mu, nu)
                     assert list(_folded.cache) == [(data, c, mu, nu)]
                     assert got == direct_ledger(data, c, lam, mu, nu)
 
@@ -142,7 +137,7 @@ def test_rows_of_one_mu_nu_share_one_ledger():
         alphabet = weight_alphabet(data, c).members
         for mu in alphabet:
             for nu in ambient_alphabet(data, c):
-                ledgers = [kac_walton_dimension(req(data, c, lam, mu, nu))
+                ledgers = [kac_walton_dimension(data, c, lam, mu, nu)
                            for lam in alphabet]
                 shared = ledgers[0][1].contributions
                 for lam, (total, ledger) in zip(alphabet, ledgers):
@@ -180,7 +175,7 @@ def test_wall_contributions_recorded():
     # (A3/diagram2, c=1): V(w1) (x) V(w1|) has two wall constituents and
     # an interior vacuum; matching lambda = w1 leaves a zero total
     data = tw("A", 3, "diagram2")
-    total, ledger = kac_walton_dimension(req(data, 1, (1, 0), (1, 0), (1, 0, 0)))
+    total, ledger = kac_walton_dimension(data, 1, (1, 0), (1, 0), (1, 0, 0))
     assert total == 0
     walls = [c for c in ledger.contributions if c.sign is None]
     assert len(walls) == 2
@@ -189,19 +184,19 @@ def test_wall_contributions_recorded():
 
 def test_scope_errors():
     with pytest.raises(UnsupportedCombination):
-        kac_walton_dimension(req(tw("A", 4, "diagram2"), 1, (0, 0), (0, 0),
-                                 (0, 0, 0, 0)))
+        kac_walton_dimension(tw("A", 4, "diagram2"), 1, (0, 0), (0, 0),
+                             (0, 0, 0, 0))
     with pytest.raises(NotInAlphabet):
-        kac_walton_dimension(req(tw("A", 3, "identity"), 1, (0, 0, 0),
-                                 (0, 0, 0), (0, 0, 0)))
+        kac_walton_dimension(tw("A", 3, "identity"), 1, (0, 0, 0),
+                             (0, 0, 0), (0, 0, 0))
     data = tw("A", 3, "diagram2")
     with pytest.raises(NotInAlphabet):
-        kac_walton_dimension(req(data, 1, (0, 1), (0, 0), (0, 0, 0)))
+        kac_walton_dimension(data, 1, (0, 1), (0, 0), (0, 0, 0))
 
 
 def test_euler_report_vacuum():
     data = tw("A", 3, "diagram2")
-    text = euler_characteristic_report(req(data, 1, (0, 0), (0, 0), (0, 0, 0)))
+    text = euler_characteristic_report(data, 1, (0, 0), (0, 0), (0, 0, 0))
     assert "length parity 0: +1" in text
     assert "length parity 1: +0" in text
     assert "total: 1" in text
@@ -212,7 +207,7 @@ def test_euler_report_matches_dimension():
     alphabet = weight_alphabet(data, 1).members
     for lam in alphabet:
         for nu in ambient_alphabet(data, 1):
-            r3 = req(data, 1, lam, lam, nu)
-            total, _ = kac_walton_dimension(r3)
-            text = euler_characteristic_report(r3)
+            r3 = (data, 1, lam, lam, nu)
+            total, _ = kac_walton_dimension(*r3)
+            text = euler_characteristic_report(*r3)
             assert f"total: {total}" in text

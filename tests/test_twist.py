@@ -7,7 +7,7 @@ import pytest
 from twistblocks import (IllegalPair, NonDominant, RootDatum,
                          UnsupportedCombination, branch_to_fixed,
                          build_root_datum, build_twist, enumerate_sigma_c,
-                         twist_kind, weight_alphabet)
+                         weight_alphabet)
 from twistblocks.twist import _branch_uncached
 from oracles import (FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS,
                      coweight_point, form_value, rational_inverse)
@@ -41,8 +41,8 @@ def test_illegal_pairs():
     for t, r, kind in cases:
         with pytest.raises(IllegalPair):
             tw(t, r, kind)
-    with pytest.raises(IllegalPair):
-        twist_kind("frobenius")
+    with pytest.raises(IllegalPair, match="unknown twist kind"):
+        tw("A", 3, "frobenius")
     # D6 folds to B5, which the supported table caps away
     from twistblocks import UnsupportedType
     with pytest.raises(UnsupportedType):
@@ -52,7 +52,7 @@ def test_illegal_pairs():
 def test_level_marks_against_frozen_table():
     for (t, r, kind), marks in TWISTED_LEVEL_MARKS.items():
         data = tw(t, r, kind)
-        if data.is_standard and data.kind.tag != "identity":
+        if data.is_standard and data.kind != "identity":
             assert data.level_marks == marks, (t, r, kind)
             assert sum(marks) == data.ambient.dual_coxeter - 1
 
@@ -203,7 +203,7 @@ def test_build_twist_is_one_instance_per_ambient_instance():
     for kind in ("identity", "diagram2"):
         data = build_twist(private, kind)
         assert data.ambient is private
-        assert build_twist(private, twist_kind(kind)) is data
+        assert build_twist(private, kind) is data
         assert tw("A", 3, kind).ambient is shared
         assert tw("A", 3, kind) is not data
 
