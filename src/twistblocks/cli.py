@@ -79,7 +79,7 @@ class Report:
     version: int
     request: dict
     pipelines: tuple
-    results: tuple
+    results: tuple      # of Row
     agreement: Optional[bool] = None
     timing: Optional[float] = None
 
@@ -208,8 +208,33 @@ def parse_request(text):
                    out_format=fmt)
 
 
-def _result_row(inputs, res):
-    return {"inputs": inputs, "value": res.value, "residual": res.residual}
+class Row:
+    """One result row as a report holds it until it is written.
+
+    Input k, named names[k], refers to a value the rows share (one list per
+    alphabet member, built once); the slots past len(names) hold None.
+    value_kac_walton is None outside a crosscheck.  as_doc, json's default
+    hook, builds the row's dict, which lives only while the encoder writes it.
+    """
+    __slots__ = ("names", "in0", "in1", "in2", "in3", "value", "residual",
+                 "value_kac_walton")
+
+    def __init__(self, names, inputs, value, residual, value_kac_walton=None):
+        self.names = names
+        self.in0, self.in1, self.in2, self.in3 = (*inputs, None, None, None)[:4]
+        self.value, self.residual = value, residual
+        self.value_kac_walton = value_kac_walton
+
+    def inputs(self):
+        return dict(zip(self.names, (self.in0, self.in1, self.in2, self.in3)))
+
+    def as_doc(self):
+        kw = self.value_kac_walton
+        if kw is None:
+            return {"inputs": self.inputs(), "value": self.value,
+                    "residual": self.residual}
+        return {"inputs": self.inputs(), "value": self.value, "residual": self.residual,
+                "value_kac_walton": kw, "agree": kw == self.value}
 
 
 def run_request(req):
@@ -222,47 +247,49 @@ def run_request(req):
 
     if req.computation == "classical":
         res = classical_verlinde(rd, c, req.genus_bar, req.weights_ambient)
-        rows = [_result_row({"genus": req.genus_bar,
-                             "weights": [list(w) for w in req.weights_ambient]}, res)]
+        rows = [Row(("genus", "weights"),
+                    (req.genus_bar, [list(w) for w in req.weights_ambient]),
+                    res.value, res.residual)]
         pipelines = ("classical_verlinde",)
     elif req.computation == "three_point":
         (lam, mu), (nu,) = req.weights_twisted, req.weights_ambient
         res = twisted_three_point(twist, c, lam, mu, nu)
-        rows = [_result_row({"lambda": list(lam), "mu": list(mu), "nu": list(nu)},
-                            res)]
+        rows = [Row(("lambda", "mu", "nu"), (list(lam), list(mu), list(nu)),
+                    res.value, res.residual)]
         pipelines = ("twisted_verlinde",)
     elif req.computation == "fusion_table":
-        alphabet = weight_alphabet(twist, c).members
+        # one list per alphabet member, shared by its rows
+        alphabet = [(w, list(w)) for w in weight_alphabet(twist, c).members]
+        names = ("lambda", "mu", "eta")
         rows = []
-        for a in alphabet:
-            for b in alphabet:
-                for e in alphabet:
+        for a, la in alphabet:
+            for b, lb in alphabet:
+                for e, le in alphabet:
                     res = fusion_coefficient(twist, c, a, b, e)
-                    rows.append(_result_row(
-                        {"lambda": list(a), "mu": list(b), "eta": list(e)}, res))
+                    rows.append(Row(names, (la, lb, le), res.value, res.residual))
         pipelines = ("twisted_verlinde",)
     elif req.computation in ("general", "factorized"):
         fn = general_dimension if req.computation == "general" else factorized_dimension
         res = fn(twist, c, req.genus_bar, req.weights_twisted, req.weights_ambient)
-        rows = [_result_row({"genus_bar": req.genus_bar, "pairs": req.pairs,
-                             "lambda_dagger": [list(w) for w in req.weights_twisted],
-                             "mu": [list(w) for w in req.weights_ambient]}, res)]
+        rows = [Row(("genus_bar", "pairs", "lambda_dagger", "mu"),
+                    (req.genus_bar, req.pairs,
+                     [list(w) for w in req.weights_twisted],
+                     [list(w) for w in req.weights_ambient]),
+                    res.value, res.residual)]
         pipelines = ("twisted_verlinde" if req.computation == "general"
                      else "factorization",)
     elif req.computation == "crosscheck":
-        alphabet = weight_alphabet(twist, c).members
-        amb = ambient_alphabet(twist, c)
+        alphabet = [(w, list(w)) for w in weight_alphabet(twist, c).members]
+        amb = [(w, list(w)) for w in ambient_alphabet(twist, c)]
+        names = ("lambda", "mu", "nu")
         rows = []
-        for a in alphabet:
-            for b in alphabet:
-                for n in amb:
+        for a, la in alphabet:
+            for b, lb in alphabet:
+                for n, ln in amb:
                     res = twisted_three_point(twist, c, a, b, n)
                     kw, _ = kac_walton_dimension(twist, c, a, b, n)
-                    rows.append({"inputs": {"lambda": list(a), "mu": list(b),
-                                            "nu": list(n)},
-                                 "value": res.value, "residual": res.residual,
-                                 "value_kac_walton": kw, "agree": kw == res.value})
-        agreement = all(r["agree"] for r in rows)
+                    rows.append(Row(names, (la, lb, ln), res.value, res.residual, kw))
+        agreement = all(r.value_kac_walton == r.value for r in rows)
         pipelines = ("twisted_verlinde", "kac_walton")
     else:  # pragma: no cover - parse_request already rejected it
         raise UnsupportedCombination(req.computation)
@@ -274,7 +301,7 @@ def run_request(req):
 
 def report_ok(rep, tolerance):
     """The residual judge: every row within tolerance, no disagreement."""
-    if any(r["residual"] > tolerance for r in rep.results):
+    if any(r.residual > tolerance for r in rep.results):
         return False
     if rep.agreement is False:
         return False
@@ -283,14 +310,17 @@ def report_ok(rep, tolerance):
 
 # with indent set, json encodes through its pure-Python iterencode, which
 # yields the document in small pieces: json.dumps' bytes, never held whole.
-# A report is a tree of fresh containers, so the cycle check (a third of the
-# encoding time) is skipped; it changes no byte
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
+# Each Row reaches the default hook, and its dict lives only while it is
+# written.  A report is a tree of containers that only share leaf lists, so
+# the cycle check (a third of the encoding time) is skipped; it changes no
+# byte
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False,
+                            default=Row.as_doc)
 
 
 def _structured_parts(rep):
     """The structured report, json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    byte for byte, as consecutive strings."""
+    byte for byte with each Row written as its dict, as consecutive strings."""
     doc = {"version": rep.version, "request": rep.request,
            "pipelines": rep.pipelines, "results": rep.results,
            "agreement": rep.agreement, "timing": None}
@@ -299,25 +329,31 @@ def _structured_parts(rep):
 
 
 def _table_lines(rep):
-    """The table form, one line at a time; its widths need every row first."""
-    keys = []
-    for row in rep.results:
-        for k in row["inputs"]:
-            if k not in keys:
-                keys.append(k)
+    """The table form, one line at a time, in two passes over the rows: the
+    first sizes the columns, the second formats and yields each line."""
+    keys = list(dict.fromkeys(k for row in rep.results for k in row.names))
     extra = ["value_kac_walton", "agree"] if rep.agreement is not None else []
     header = keys + ["value", "residual"] + extra
-    table = [header]
+
+    def cells(row):
+        inputs = row.inputs()
+        out = [str(inputs.get(k, "")) for k in keys]
+        out.append(str(row.value))
+        out.append(f"{row.residual:.2e}")
+        if extra:
+            kw = row.value_kac_walton
+            out += [str(kw), str(kw == row.value)]
+        return out
+
+    widths = [len(h) for h in header]
     for row in rep.results:
-        line = [str(row["inputs"].get(k, "")) for k in keys]
-        line.append(str(row["value"]))
-        line.append(f"{row['residual']:.2e}")
-        for k in extra:
-            line.append(str(row[k]))
-        table.append(line)
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        yield "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+        widths = list(map(max, widths, map(len, cells(row))))
+
+    def line(r):
+        return "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+
+    yield line(header)
+    yield from map(line, map(cells, rep.results))
     if rep.agreement is not None:
         yield f"# agreement: {rep.agreement}\n"
     if rep.timing is not None:

@@ -366,27 +366,27 @@ class RootDatum:
     def weight_system(self, weight):
         """All weights of V(lambda) with multiplicities (Freudenthal).
 
-        Returns a dict {weight tuple: multiplicity}.  Cached, together with
-        the same weights as int64 arrays (see _weight_arrays).
+        Returns a dict {weight tuple: multiplicity}, cached.
         """
         key = tuple(int(x) for x in weight)
         self._require_dominant(key)
-        return self._weights(key)[0]
+        return self._weights(key)
 
     def _weight_arrays(self, weight):
         """The weights of V(lambda) as int64 rows, with their multiplicities
-        as an int64 vector, in the order of weight_system(lambda)."""
-        key = tuple(int(x) for x in weight)
+        as an int64 vector, in the order of weight_system(lambda).  Built
+        from the cached dict on each call, so only the dict is kept."""
         # through the public layer: it checks dominance, and it is the call
         # bench/tracer.py counts
-        self.weight_system(key)
-        return self._weights(key)[1:]
+        ws = self.weight_system(weight)
+        vecs = np.array(list(ws), dtype=np.int64).reshape(len(ws), self.rank)
+        return vecs, np.fromiter(ws.values(), dtype=np.int64, count=len(ws))
 
     @memo
     def _weights(self, key):
-        """(weight_system dict, weight rows, multiplicities) of V(key)."""
+        """weight_system's dict of V(key), the only form that is cached."""
         vecs, mults = self._weight_system_uncached(key)
-        return dict(zip(map(tuple, vecs.tolist()), mults.tolist())), vecs, mults
+        return dict(zip(map(tuple, vecs.tolist()), mults.tolist()))
 
     def _weight_system_uncached(self, lam):
         def norm2(v):

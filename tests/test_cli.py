@@ -1,14 +1,20 @@
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from twistblocks import SchemaError, UnsupportedCombination, UnsupportedType
-from twistblocks.cli import Report, emit_report, main, parse_request, run_request
+from twistblocks import (SchemaError, UnsupportedCombination, UnsupportedType,
+                         ambient_alphabet, build_root_datum, build_twist,
+                         classical_verlinde, factorized_dimension, fusion_coefficient,
+                         general_dimension, kac_walton_dimension, twisted_three_point,
+                         weight_alphabet)
+from twistblocks.cli import Report, Row, emit_report, main, parse_request, run_request
 from twistblocks.dims import _finalize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -73,7 +79,7 @@ def test_run_classical_row():
                        computation="classical", genus_bar=0,
                        weights={"ambient": [[1], [1], [0]]})
     rep = run_request(parse_request(json.dumps(doc)))
-    assert rep.results[0]["value"] == 1
+    assert rep.results[0].value == 1
     assert rep.agreement is None
     assert rep.pipelines == ("classical_verlinde",)
 
@@ -82,30 +88,30 @@ def test_run_fusion_table_shape():
     doc = make_request(computation="fusion_table")
     rep = run_request(parse_request(json.dumps(doc)))
     assert len(rep.results) == 8  # |D|^3 with |D| = 2
-    assert all(isinstance(r["value"], int) for r in rep.results)
-    assert all(r["value"] >= 0 for r in rep.results)
+    assert all(isinstance(r.value, int) for r in rep.results)
+    assert all(r.value >= 0 for r in rep.results)
 
 
 def test_run_crosscheck_vacuum_agreement():
     rep = run_request(parse_request(json.dumps(make_request())))
     assert rep.agreement is True
     vacuum = [r for r in rep.results
-              if r["inputs"] == {"lambda": [0, 0], "mu": [0, 0], "nu": [0, 0, 0]}]
-    assert vacuum and vacuum[0]["value"] == 1 and vacuum[0]["value_kac_walton"] == 1
+              if r.inputs() == {"lambda": [0, 0], "mu": [0, 0], "nu": [0, 0, 0]}]
+    assert vacuum and vacuum[0].value == 1 and vacuum[0].value_kac_walton == 1
 
 
 def test_run_three_point_and_general():
     doc = make_request(computation="three_point",
                        weights={"twisted": [[1, 0], [1, 0]], "ambient": [[0, 1, 0]]})
     rep = run_request(parse_request(json.dumps(doc)))
-    assert rep.results[0]["value"] == 1
+    assert rep.results[0].value == 1
 
     doc = make_request(computation="general", genus_bar=0, pairs=1,
                        weights={"twisted": [[1, 0], [1, 0]], "ambient": []})
     rep_g = run_request(parse_request(json.dumps(doc)))
     doc["computation"] = "factorized"
     rep_f = run_request(parse_request(json.dumps(doc)))
-    assert rep_g.results[0]["value"] == rep_f.results[0]["value"] == 1
+    assert rep_g.results[0].value == rep_f.results[0].value == 1
 
 
 def test_factorized_identity_degenerates_to_classical():
@@ -116,7 +122,7 @@ def test_factorized_identity_degenerates_to_classical():
     rep = run_request(parse_request(json.dumps(doc)))
     doc["computation"] = "classical"
     rep_c = run_request(parse_request(json.dumps(doc)))
-    assert rep.results[0]["value"] == rep_c.results[0]["value"]
+    assert rep.results[0].value == rep_c.results[0].value
     # but ramified pairs with the identity twist are rejected at parse time
     bad = make_request(twist={"kind": "identity", "order": 1},
                        algebra={"type": "A", "rank": 1},
@@ -133,18 +139,25 @@ def test_emit_header_only_table():
     assert text == "value  residual\n"
 
 
+def _fields(row):
+    return row.inputs(), row.value, row.residual, row.value_kac_walton
+
+
 def test_structured_round_trip():
     rep = run_request(parse_request(json.dumps(make_request())))
     text = emit_report(rep, "structured")
     doc = json.loads(text)
+    assert all(r["agree"] == (r["value_kac_walton"] == r["value"]) for r in doc["results"])
+    rows = tuple(Row(tuple(r["inputs"]), tuple(r["inputs"].values()), r["value"],
+                     r["residual"], r["value_kac_walton"]) for r in doc["results"])
     back = Report(version=doc["version"], request=doc["request"],
-                  pipelines=tuple(doc["pipelines"]), results=tuple(doc["results"]),
+                  pipelines=tuple(doc["pipelines"]), results=rows,
                   agreement=doc["agreement"], timing=doc["timing"])
     # emission nulls the wall clock; everything else round-trips exactly
     assert back.version == rep.version
     assert back.request == rep.request
     assert tuple(back.pipelines) == rep.pipelines
-    assert list(back.results) == list(rep.results)
+    assert list(map(_fields, back.results)) == list(map(_fields, rep.results))
     assert back.agreement == rep.agreement
     assert back.timing is None
     assert emit_report(back, "structured") == text
@@ -329,11 +342,98 @@ def test_structured_stdout_is_pinned(doc, digest, capsys, monkeypatch):
     assert values == _PINNED_VALUES.get(_pin_id(doc), values)
 
 
-def _json_oracle(rep):
+# sha256 of the table text without its wall-clock line, recorded before the
+# rows became records and the table was written in two passes over them
+PINNED_TABLE = (
+    (make_request(level=2),
+     "8e969eb4f36115590ab04ebd174732c4691f6f9547fe0b496dac4d23334ba789"),
+    (make_request(level=3, computation="fusion_table"),
+     "829d00435f7e9f338d5e2a0efbb03bb3eaafb3c6e34fa4ab50ff3380136062c5"),
+    (make_request(computation="general", **_CURVE),
+     "19d0c9c394f3890b7b162d3be9def8397f15c98835639aa7075a72050f55c519"),
+)
+
+
+@pytest.mark.parametrize("doc, digest", PINNED_TABLE,
+                         ids=[_pin_id(d) for d, _ in PINNED_TABLE])
+def test_table_output_is_pinned(doc, digest):
+    rep = run_request(parse_request(json.dumps(doc)))
+    text = _emitted(dataclasses.replace(rep, timing=None), "table")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc", (
+    make_request(level=4),
+    make_request(algebra={"type": "D", "rank": 5}, level=3, computation="fusion_table")),
+                         ids=("crosscheck-A3", "fusion_table-D5"))
+def test_report_holds_at_most_160_bytes_per_row(doc):
+    # a tree of dicts and lists per row took about 630 B
+    req = parse_request(json.dumps(doc))
+    run_request(req)    # fills the memo tables, so only the report is new
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = run_request(req)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep.results) == {"crosscheck": 2835, "fusion_table": 1000}[req.computation]
+    assert held <= 160 * len(rep.results), held / len(rep.results)
+    # the rows share one input list per alphabet member
+    first, second = rep.results[:2]
+    assert first.in0 is second.in0 and first.in1 is second.in1
+
+
+def _json_oracle(rep, rows):
+    """json.dumps' text of the report with the given row dicts as its results."""
     doc = {"version": rep.version, "request": rep.request,
-           "pipelines": list(rep.pipelines), "results": list(rep.results),
+           "pipelines": list(rep.pipelines), "results": rows,
            "agreement": rep.agreement, "timing": None}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_TAGS = {("identity", 1): "identity", ("diagram", 2): "diagram2",
+         ("diagram", 3): "diagram3", ("standard", 4): "standard4"}
+
+
+def _expected_rows(doc):
+    """The result rows of a request as dicts, from the library calls alone."""
+    rd = build_root_datum(doc["algebra"]["type"], doc["algebra"]["rank"])
+    twist = build_twist(rd, _TAGS[doc["twist"]["kind"], doc["twist"]["order"]])
+    c, comp, g = doc["level"], doc["computation"], doc.get("genus_bar", 0)
+    weights = doc.get("weights", {})
+    wt = [tuple(w) for w in weights.get("twisted", [])]
+    wa = [tuple(w) for w in weights.get("ambient", [])]
+
+    def row(inputs, res):
+        return {"inputs": inputs, "value": res.value, "residual": res.residual}
+
+    if comp == "classical":
+        return [row({"genus": g, "weights": weights["ambient"]},
+                    classical_verlinde(rd, c, g, wa))]
+    if comp == "three_point":
+        (lam, mu), (nu,) = wt, wa
+        return [row({"lambda": list(lam), "mu": list(mu), "nu": list(nu)},
+                    twisted_three_point(twist, c, lam, mu, nu))]
+    if comp in ("general", "factorized"):
+        fn = general_dimension if comp == "general" else factorized_dimension
+        return [row({"genus_bar": g, "pairs": doc["pairs"],
+                     "lambda_dagger": weights["twisted"], "mu": weights["ambient"]},
+                    fn(twist, c, g, wt, wa))]
+    alphabet = weight_alphabet(twist, c).members
+    if comp == "fusion_table":
+        return [row({"lambda": list(a), "mu": list(b), "eta": list(e)},
+                    fusion_coefficient(twist, c, a, b, e))
+                for a in alphabet for b in alphabet for e in alphabet]
+    rows = []
+    for a in alphabet:
+        for b in alphabet:
+            for n in ambient_alphabet(twist, c):
+                res = twisted_three_point(twist, c, a, b, n)
+                kw, _ = kac_walton_dimension(twist, c, a, b, n)
+                rows.append(row({"lambda": list(a), "mu": list(b), "nu": list(n)}, res)
+                            | {"value_kac_walton": kw, "agree": kw == res.value})
+    return rows
 
 
 def _first_difference(a, b):
@@ -368,7 +468,26 @@ _KINDS = (
 @pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
 def test_structured_writer_matches_json(doc):
     rep = run_request(parse_request(json.dumps(doc)))
-    assert _first_difference(_emitted(rep, "structured"), _json_oracle(rep)) is None
+    rows = _expected_rows(doc)
+    if doc["computation"] == "crosscheck":
+        assert rep.agreement is all(r["agree"] for r in rows)
+    assert _first_difference(_emitted(rep, "structured"), _json_oracle(rep, rows)) is None
+
+
+@pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
+def test_each_record_equals_its_written_row(doc):
+    rep = run_request(parse_request(json.dumps(doc)))
+    written = json.loads(emit_report(rep, "structured"))["results"]
+    assert len(written) == len(rep.results)
+    for rec, row in zip(rep.results, written):
+        want = {"inputs": rec.inputs(), "value": rec.value, "residual": rec.residual}
+        if doc["computation"] == "crosscheck":
+            want.update(value_kac_walton=rec.value_kac_walton,
+                        agree=rec.value_kac_walton == rec.value)
+        else:
+            assert rec.value_kac_walton is None
+        assert row == want
+        assert type(rec.value) is int and type(rec.residual) is float
 
 
 @pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
@@ -412,9 +531,29 @@ def test_field_the_computation_does_not_read_exits_2(doc, field, capsys, monkeyp
 
 
 def _row(i, value, residual):
-    return {"inputs": {"lambda": [i, -i], "mu": [], "eta": [[0], {}]},
-            "value": value, "residual": residual,
-            "value_kac_walton": value, "agree": i % 2 == 0}
+    """A record and, built apart from it, the dict it must be written as;
+    the odd rows disagree."""
+    inputs = {"lambda": [i, -i], "mu": [], "eta": [[0], {}]}
+    kw = value + i % 2
+    return (Row(tuple(inputs), tuple(inputs.values()), value, residual, kw),
+            {"inputs": inputs, "value": value, "residual": residual,
+             "value_kac_walton": kw, "agree": i % 2 == 0})
+
+
+def _table_oracle(rows, agreement, footer):
+    """The table text built whole from row dicts, each width over every row."""
+    keys = list(dict.fromkeys(k for r in rows for k in r["inputs"]))
+    extra = ["value_kac_walton", "agree"] if agreement is not None else []
+    table = [keys + ["value", "residual"] + extra]
+    table += [[str(r["inputs"].get(k, "")) for k in keys]
+              + [str(r["value"]), f"{r['residual']:.2e}"] + [str(r[k]) for k in extra]
+              for r in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    text = "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+                   for r in table)
+    if agreement is not None:
+        text += f"# agreement: {agreement}\n"
+    return text + footer
 
 
 @pytest.mark.parametrize("agreement", (None, False, True))
@@ -427,10 +566,12 @@ def test_structured_writer_edge_values(agreement):
                "weights": {"twisted": [], "ambient": [[0, -1]]}, "options": {}}
     for results in (rows, rows[:5], []):
         rep = Report(version=1, request=request, pipelines=("twisted_verlinde",),
-                     results=tuple(results), agreement=agreement, timing=1.5)
+                     results=tuple(rec for rec, _ in results), agreement=agreement,
+                     timing=1.5)
         text = _emitted(rep, "structured")
-        assert _first_difference(text, _json_oracle(rep)) is None
-        _emitted(rep, "table")
+        assert _first_difference(text, _json_oracle(rep, [d for _, d in results])) is None
+        table = _table_oracle([d for _, d in results], agreement, "# elapsed: 1.500s\n")
+        assert _first_difference(_emitted(rep, "table"), table) is None
         if results is rows:
             assert len(text) > 3 << 16
 
@@ -454,7 +595,7 @@ def test_main_writes_bounded_blocks(monkeypatch):
     # a part's text in the document: a row with its separator and extra
     # indent, or the request echo with its extra indent
     row_chars = max(len(json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    "))
-                    + len(",\n    ") for r in rep.results)
+                    + len(",\n    ") for r in json.loads(text)["results"])
     echo_chars = len(json.dumps(rep.request, sort_keys=True, indent=2).replace("\n", "\n  "))
     out = _RecordingStdout()
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
