@@ -11,9 +11,8 @@ from .dims import (DimensionResult, classical_verlinde, factorized_dimension,
                    fusion_coefficient, general_dimension,
                    riemann_hurwitz_genus, twisted_three_point)
 from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
-                     NonDominant, NotInAlphabet, SchemaError, SingularPoint,
-                     UnstableInput, UnsupportedCombination, UnsupportedType,
-                     VerlindeError)
+                     NonDominant, NotInAlphabet, SchemaError, UnstableInput,
+                     UnsupportedCombination, UnsupportedType, VerlindeError)
 from .kacwalton import KWLedger, euler_characteristic_report, kac_walton_dimension
 from .liecore import Exponents, RootDatum, build_root_datum
 from .twist import (TwistData, WeightSet, ambient_alphabet, branch_to_fixed,

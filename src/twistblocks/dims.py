@@ -4,105 +4,190 @@ factorization recursion."""
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .alcove import enumerate_sigma_c
 from .errors import (InconsistentRamification, IntegralityError,
                      NotInAlphabet, UnstableInput)
 from .twist import (_check_ambient, _check_three_point, _check_twisted,
                     ambient_alphabet, build_twist)
-from .util import memo, round_half_away
+from .util import memo
 
-_IMAG_TOL = 1e-7
-
-# weight-multiplicity sums are exact at any point; prefer them for ambient
-# characters unless the representation is large
+# ambient characters up to this dimension are weight-multiplicity sums, which
+# need no Weyl denominator; larger ones are Weyl quotients, whose orbit does
+# not grow with the representation
 _WEIGHTSUM_DIM_CAP = 4000
 
 
 @dataclass(frozen=True)
 class DimensionResult:
     value: int
-    raw: complex
-    residual: float
+    residual: float = 0.0     # every value is exact
 
 
-def _finalize(raw, context, allow_negative=False):
-    """Round raw to the nearest integer and carry its residual.
-
-    The residual is reported, not judged: the caller holds the tolerance
-    (the CLI checks every row against the request's).
-    """
-    raw = complex(raw)
-    if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
-        raise IntegralityError(f"{context}: raw value {raw} is not finite")
-    if abs(raw.imag) > _IMAG_TOL:
-        raise IntegralityError(f"{context}: imaginary part {raw.imag:.3e} "
-                               f"exceeds {_IMAG_TOL}")
-    value = round_half_away(raw.real)
-    residual = abs(raw - value)
+def _finalize(value, context, allow_negative=False):
     if value < 0 and not allow_negative:
-        raise IntegralityError(f"{context}: negative dimension {value} from {raw}")
-    return DimensionResult(value=value, raw=raw, residual=residual)
+        raise IntegralityError(f"{context}: negative dimension {value}")
+    return DimensionResult(value)
+
+
+# -- the primes p = 1 (mod n) --------------------------------------------
+
+def _is_prime(p):
+    """Miller-Rabin with the bases 2, 3, 5 and 7: exact for 7 < p < 3215031751."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1      # p - 1 = d 2^s with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and p - 1 not in [pow(x, 1 << r, p) for r in range(s)]:
+            return False
+    return True
+
+
+@memo
+def _modulus(n, i):
+    """(p, g^j mod p for j < n): p the i-th largest prime below 2^31 with
+    p = 1 (mod n), g of exact order n in F_p^x.  zeta_n -> g is a ring map
+    Z[zeta_n] -> F_p (p splits completely in Q(zeta_n)), so an integer in
+    Z[zeta_n] is known mod p from its image.  Below 2^31 a product of two
+    residues fits in an int64, and so does a sum of 2^32 of them."""
+    p = _modulus(n, i - 1)[0] - n if i else ((1 << 31) - 2) // n * n + 1
+    while p > n and not _is_prime(p):
+        p -= n
+    if p <= n:
+        raise IntegralityError(f"too few primes p = 1 (mod {n}) below 2^31")
+    # g has order n when no g^(n/q) is 1 for a divisor q > 1 of n
+    g = next(g for g in (pow(x, (p - 1) // n, p) for x in range(2, p))
+             if all(pow(g, n // q, p) != 1 for q in range(2, n + 1) if n % q == 0))
+    return p, np.array([pow(g, j, p) for j in range(n)], dtype=np.int64)
+
+
+@memo
+def _primes(n, k):
+    """The first k moduli's primes as an int64 column."""
+    return np.array([_modulus(n, i)[0] for i in range(k)], dtype=np.int64)[:, None]
+
+
+def _lift_primes(n, log_bound):
+    """How many moduli of n a lift needs: their product exceeds e * B > 2 B,
+    for B = exp(log_bound), whatever the bound's roundoff."""
+    k, logs = 0, 0.0
+    while logs <= log_bound + 1.0:
+        logs += math.log(_modulus(n, k)[0])
+        k += 1
+    return k
 
 
 # -- the torus points of one (ambient, twist, level), with values ----------
 
 class _Characters:
-    """The characters of one root datum at the exponent vectors ys, each as
-    one list over the points, and the point values every character shares.
-
-    Characters of dimension <= weight_cap are weight-multiplicity sums (exact
-    at any point); the rest are Weyl quotients.
+    """The characters of one root datum at the exponent vectors ys, and the
+    point values every character shares, as images in F_p for the moduli of
+    n: one row per prime, one column per point.  n is a multiple of every
+    y.den, so e^alpha(t) = zeta_n^e with e = (alpha . y.num mod y.den) n / y.den.
+    Characters of dimension <= weight_cap are weight-multiplicity sums, the
+    rest Weyl quotients.
     """
 
-    def __init__(self, rd, ys, weight_cap):
+    def __init__(self, rd, ys, weight_cap, n):
         self.rd = rd
         self.ys = ys
         self.weight_cap = weight_cap
-
-    @functools.cached_property
-    def weyl_den(self):
-        return self.rd.weyl_denominators(self.ys)
-
-    @functools.cached_property
-    def delta(self):
-        """prod over all roots of (e^alpha(t) - 1) = prod 4 sin^2(pi alpha(xi))."""
-        out = []
-        for y in self.ys:
-            total = 1.0
-            for p in self.rd.root_pairings(y):
-                if p % y.den == 0:
-                    raise AssertionError(f"point {y} is singular for {self.rd}")
-                total *= 4.0 * math.sin(math.pi * (p / y.den)) ** 2
-            out.append(total)
-        return out
+        self.n = n
+        # the exponents e of every positive root and of rho at each point
+        self.roots = np.array([[p % y.den * (n // y.den) for p in rd.root_pairings(y)]
+                               for y in ys], dtype=np.int64).reshape(len(ys), -1)
+        self._rho = np.array([sum(y.num) % y.den * (n // y.den) for y in ys],
+                             dtype=np.int64)
+        if not self.roots.all():
+            raise AssertionError(f"a point of the table is singular for {rd}")
+        self._dens = np.array([y.den for y in ys])
 
     @memo
-    def char(self, lam):
-        if self.rd.weyl_dimension(lam) <= self.weight_cap:
-            return self.rd.character_at_exponents(lam, self.ys, method="weights")
-        return self.rd.character_at_exponents(lam, self.ys, weyl_den=self.weyl_den)
+    def power(self, which, e, k):
+        """x^e at each point mod the first k primes, for x the Weyl
+        denominator e^rho prod_{alpha>0} (1 - e^-alpha) (which 0) or
+        Delta = prod_{alpha>0} (2 - e^alpha - e^-alpha) (which 1)."""
+        rows = []
+        for i in range(k):
+            p, pw = _modulus(self.n, i)
+            weyl, delta = pw[self._rho], 1
+            for r in self.roots.T:
+                up, down = pw[r], pw[-r % self.n]
+                weyl = weyl * (1 - down) % p
+                delta = delta * (2 - up - down) % p
+            rows.append([pow(int(x), e, p) for x in (weyl, delta)[which]])
+        return np.array(rows, dtype=np.int64)
+
+    @memo
+    def dim(self, lam):
+        return self.rd.weyl_dimension(lam)
+
+    @memo
+    def char(self, lam, k):
+        """chi_lam at each point mod the first k primes."""
+        weights = self.dim(lam) <= self.weight_cap
+        counts = self.rd.character_at_exponents(
+            lam, self.ys, method="weights" if weights else "quotient")
+        # sum_r c[r] zeta_den^r maps to sum_r c[r] g^(r n / den), over blocks
+        # of one den's points of at most 2^15 counts per prime
+        primes = _primes(self.n, k)
+        p3 = primes[:, :, None]
+        out = np.empty((k, len(self.ys)), dtype=np.int64)
+        for den in set(self._dens.tolist()):
+            idx = np.flatnonzero(self._dens == den)
+            pw = np.array([_modulus(self.n, i)[1][::self.n // den] for i in range(k)])
+            step = max(1, (1 << 15) // den)
+            for s in range(0, len(idx), step):
+                sel = idx[s:s + step]
+                block = np.array([counts[j] for j in sel]) % p3
+                out[:, sel] = (block * pw[:, None] % p3).sum(axis=2) % primes
+        if not weights:
+            out = out * self.power(0, -1, k) % primes
+        return out
 
 
 class _PointTable:
     """Sigma_c for one twist and level, with the characters of the fixed
     algebra and, once read, of the ambient one at its points.
 
-    The points are regular for both algebras, so every Delta is nonzero.
+    The points are regular for both algebras, so every Delta is a unit in
+    each F_p.  n is the lcm of the points' denominators; the ambient ones
+    divide them.
     """
 
     def __init__(self, twist, c):
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
-        # weight_cap 0: fixed characters are always Weyl quotients, whose
-        # rounding the reported residuals carry
-        self.fixed = _Characters(twist.fixed, self.enum.points, 0)
+        self.n = math.lcm(*(y.den for y in self.enum.points))
+        # weight_cap 0: fixed characters are always Weyl quotients
+        self.fixed = _Characters(twist.fixed, self.enum.points, 0, self.n)
 
     @functools.cached_property
     def ambient(self):
         ys = [self.twist.ambient_exponents(y) for y in self.enum.points]
-        return _Characters(self.twist.ambient, ys, _WEIGHTSUM_DIM_CAP)
+        return _Characters(self.twist.ambient, ys, _WEIGHTSUM_DIM_CAP, self.n)
+
+    @memo
+    def log_mass(self, factor, a, dexp):
+        """log(|prod b^e| sum_t |Delta_sigma(t)|^a / |Delta(t)|^dexp), where
+        |Delta(t)| = prod_{alpha>0} 4 sin^2(pi alpha(xi))."""
+        def log_delta(chars):
+            return np.log(4 * np.sin(np.pi * chars.roots / self.n) ** 2).sum(axis=1)
+        v = a * log_delta(self.fixed) - (dexp * log_delta(self.ambient) if dexp else 0)
+        return sum(e * math.log(b) for b, e in factor) + float(np.logaddexp.reduce(v))
+
+    @memo
+    def measure(self, factor, a, dexp, k):
+        """prod b^e * Delta_sigma^a / Delta^dexp at each point, mod the first k primes."""
+        primes = _primes(self.n, k)
+        out = self.fixed.power(1, a, k)
+        for b, e in factor:
+            out = out * [[pow(b, e, p)] for p in primes[:, 0].tolist()] % primes
+        if dexp:
+            out = out * self.ambient.power(1, -dexp, k) % primes
+        return out
 
 
 @memo
@@ -110,69 +195,66 @@ def _table(twist, c):
     return _PointTable(twist, c)
 
 
-def _fsum(values):
-    """The correctly rounded sum of complex values, part by part: it depends
-    only on the multiset of the values, not on their order."""
-    try:
-        return complex(math.fsum([v.real for v in values]),
-                       math.fsum([v.imag for v in values]))
-    except (OverflowError, ValueError):     # a sum past the float range, or inf - inf
-        raise IntegralityError("a point sum exceeds the float range") from None
-
-
-def _point_sum(table, fixed=(), ambient=(), glued=(), a=0, dexp=0):
-    """Sum over the points of
+def _point_sum(table, factor, fixed=(), ambient=(), glued=(), a=0, dexp=0):
+    """The integer prod b^e * sum over the points of
     prod chi_fixed * prod chi_ambient * prod G * Delta_sigma^a / Delta^dexp,
-    where each G in glued is a list of pairs (n, lam) for sum n * chi_lam.
+    for factor = ((b, e), ...) and each G in glued a list of pairs (n, lam)
+    for sum n * chi_lam.
 
-    Every formula goes through this one loop: each term's factors are
-    multiplied in one fixed order, and the terms, like each G's, are summed
-    by _fsum, so the results are reproducible bit for bit whatever the order
-    of the points.
+    Every formula goes through this one sum.  Its value is an integer, and
+    every denominator in it (Weyl denominators, Delta, lattice orders) is a
+    unit of F_p, so it is evaluated in F_p for primes p = 1 (mod n) whose
+    product exceeds twice the bound |factor| * prod dim V(lam) *
+    sum_t |Delta_sigma|^a / |Delta|^dexp (sum |n| dim V(lam) for a glued
+    column) and lifted by CRT to the least representative.  At least one
+    more prime checks the lift.
     """
-    columns = ([table.fixed.char(lam) for lam in fixed]
-               + [table.ambient.char(nu) for nu in ambient])
-    glued = [[(n, table.fixed.char(lam)) for n, lam in g] for g in glued]
-    try:
-        ds = [x ** a for x in table.fixed.delta] if a else None
-        d = [x ** (-dexp) for x in table.ambient.delta] if dexp else None
-    except OverflowError:
-        raise IntegralityError("a point-sum Delta power exceeds the float range") from None
-    terms = []
-    for k in range(len(table.enum.points)):
-        term = complex(1.0)
-        for col in columns:
-            term *= col[k]
-        for g in glued:
-            term *= _fsum([n * col[k] for n, col in g])
-        if a:
-            term *= ds[k]
-        if dexp:
-            term *= d[k]
-        terms.append(term)
-    return _fsum(terms)
-
-
-def _ratio(num, den, what):
-    """num / den of ints, correctly rounded, or IntegralityError past the
-    float range: no dimension is rounded there."""
-    try:
-        return num / den
-    except OverflowError:
-        raise IntegralityError(f"{what} exceeds the float range") from None
+    fx, amb = table.fixed, table.ambient if ambient else None
+    log_bound = (table.log_mass(factor, a, dexp)
+                 + sum(math.log(fx.dim(lam)) for lam in fixed)
+                 + sum(math.log(amb.dim(nu)) for nu in ambient)
+                 + sum(math.log(max(1, sum(abs(n) * fx.dim(lam) for n, lam in g)))
+                       for g in glued))
+    k = _lift_primes(table.n, log_bound)
+    # k + 1 primes at least, rounded up to a power of two and at least 4, so
+    # that a character is counted again only when a sum needs twice the primes
+    rows = 1 << max(2, k.bit_length())
+    primes = _primes(table.n, rows)
+    term = table.measure(factor, a, dexp, rows)
+    for lam in fixed:
+        term = term * fx.char(lam, rows) % primes
+    for nu in ambient:
+        term = term * amb.char(nu, rows) % primes
+    for g in glued:
+        col = 0
+        for n, lam in g:
+            col = (col + n % primes * fx.char(lam, rows)) % primes
+        term = term * col % primes
+    plist = primes[:, 0].tolist()
+    images = (term.sum(axis=1) % primes[:, 0]).tolist()
+    value, m = 0, 1
+    for r, p in zip(images[:k], plist):
+        value += m * ((r - value) * pow(m, -1, p) % p)
+        m *= p
+    if 2 * value > m:
+        value -= m
+    bad = [p for r, p in zip(images[k:], plist[k:]) if value % p != r]
+    if bad:
+        raise IntegralityError(f"a point sum lifted from {k} primes to {value} "
+                               f"fails the check prime {bad[0]}")
+    return value
 
 
 # -- the formulas ----------------------------------------------------------
 
-def _classical_raw(tw, c, g, weights, glued=()):
+def _classical_sum(tw, c, g, weights, glued=()):
     """|T_c|^{g-1} sum over A_c of prod chi prod G Delta^{1-g}; no stability gate.
 
     tw is the identity twist of the ambient algebra; G as in _point_sum.
     """
     table = _table(tw, c)
-    total = _point_sum(table, fixed=weights, glued=glued, dexp=g - 1)
-    t = table.enum.order_T
-    return total * _ratio(t ** max(g - 1, 0), t ** max(1 - g, 0), f"|T_c|^{g - 1}")
+    return _point_sum(table, ((table.enum.order_T, g - 1),), fixed=weights,
+                      glued=glued, dexp=g - 1)
 
 
 def classical_verlinde(rd, c, g, weights):
@@ -186,8 +268,7 @@ def classical_verlinde(rd, c, g, weights):
                     for i, w in enumerate(weights))
     if g == 0 and len(weights) < 3:
         raise UnstableInput("genus 0 needs at least three insertions")
-    return _finalize(_classical_raw(tw, c, g, weights),
-                     f"classical N_{g}{weights}")
+    return _finalize(_classical_sum(tw, c, g, weights), f"classical N_{g}{weights}")
 
 
 def twisted_three_point(twist, c, lam, mu, nu):
@@ -195,9 +276,9 @@ def twisted_three_point(twist, c, lam, mu, nu):
     lam, mu, nu = _check_three_point(twist, c, lam, mu, nu,
                                      "the twisted Verlinde formula")
     table = _table(twist, c)
-    raw = _point_sum(table, fixed=(lam, mu), ambient=(nu,), a=1) \
-        / table.enum.order_Tsigma
-    return _finalize(raw, f"N(sigma;{lam},{mu},{nu})")
+    value = _point_sum(table, ((table.enum.order_Tsigma, -1),), fixed=(lam, mu),
+                       ambient=(nu,), a=1)
+    return _finalize(value, f"N(sigma;{lam},{mu},{nu})")
 
 
 def fusion_coefficient(twist, c, lam, mu, eta):
@@ -215,8 +296,9 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     # eta* = eta: weight_alphabet checks that once for all of D_{c,sigma}
     eta = _check_twisted(twist, c, eta, "eta")
     table = _table(twist, c)
-    raw = _point_sum(table, fixed=(lam, mu, eta), a=1) / table.enum.order_Tsigma
-    return _finalize(raw, f"c^{eta}_{lam},{mu}", allow_negative=True)
+    value = _point_sum(table, ((table.enum.order_Tsigma, -1),), fixed=(lam, mu, eta),
+                       a=1)
+    return _finalize(value, f"c^{eta}_{lam},{mu}", allow_negative=True)
 
 
 def _check_curve(twist, c, genus_bar, lambda_dagger, mu):
@@ -255,16 +337,15 @@ def general_dimension(twist, c, genus_bar, lambda_dagger, mu):
     if a == 0:
         # no ramified pairs: the cover contributes nothing and the formula
         # degenerates to the classical sum over the full regular-class set
-        raw = _classical_raw(build_twist(twist.ambient, "identity"), c,
-                             genus_bar, mus)
-        return _finalize(raw, f"N_({genus_bar},a=0){mus}")
+        value = _classical_sum(build_twist(twist.ambient, "identity"), c,
+                               genus_bar, mus)
+        return _finalize(value, f"N_({genus_bar},a=0){mus}")
     table = _table(twist, c)
     dexp = genus_bar - 1 + a
-    total = _point_sum(table, fixed=lams, ambient=mus, a=a, dexp=dexp)
     enum = table.enum
-    factor = _ratio(enum.order_T ** dexp, enum.order_Tsigma ** a,
-                    f"|T_c|^{dexp} / |T_c^sigma|^{a}")
-    return _finalize(total * factor, f"N_({genus_bar},a={a}){lams}{mus}")
+    value = _point_sum(table, ((enum.order_T, dexp), (enum.order_Tsigma, -a)),
+                       fixed=lams, ambient=mus, a=a, dexp=dexp)
+    return _finalize(value, f"N_({genus_bar},a={a}){lams}{mus}")
 
 
 def factorized_dimension(twist, c, genus_bar, lambda_dagger, mu):
@@ -274,21 +355,15 @@ def factorized_dimension(twist, c, genus_bar, lambda_dagger, mu):
     N(sigma; lambda_2k, lambda_2k+1, nu) chi_{nu*}.  By Verlinde's
     diagonalization the classical sum with every G_k beside the chi_mu is the
     sum over all tuples of gluing weights of three-point numbers times
-    classical Verlinde numbers.  The residual covers the three-point inputs.
+    classical Verlinde numbers.
     """
     a, lams, mus = _check_curve(twist, c, genus_bar, lambda_dagger, mu)
     dc = ambient_alphabet(twist, c)
-    glued, inputs = [], []
-    for k in range(a):
-        n3 = [twisted_three_point(twist, c, lams[2 * k], lams[2 * k + 1], nu)
-              for nu in dc]
-        glued.append([(r.value, twist.ambient.dual_weight(nu))
-                      for r, nu in zip(n3, dc)])
-        inputs += n3
-    raw = _classical_raw(build_twist(twist.ambient, "identity"), c, genus_bar,
-                         mus, glued)
-    res = _finalize(raw, f"factorized N_({genus_bar},a={a}){lams}{mus}")
-    return replace(res, residual=max([res.residual] + [r.residual for r in inputs]))
+    glued = [[(twisted_three_point(twist, c, lams[2 * k], lams[2 * k + 1], nu).value,
+               twist.ambient.dual_weight(nu)) for nu in dc] for k in range(a)]
+    value = _classical_sum(build_twist(twist.ambient, "identity"), c, genus_bar,
+                           mus, glued)
+    return _finalize(value, f"factorized N_({genus_bar},a={a}){lams}{mus}")
 
 
 def riemann_hurwitz_genus(order_gamma, genus_bar, stabilizer_orders):

@@ -13,10 +13,6 @@ class NonDominant(VerlindeError):
     """A weight that must be dominant has a negative coordinate."""
 
 
-class SingularPoint(VerlindeError):
-    """Torus point lies on a reflection wall; Weyl denominator vanishes."""
-
-
 class IllegalPair(VerlindeError):
     """(ambient algebra, automorphism kind) is not a legal combination."""
 
@@ -34,7 +30,8 @@ class InconsistentRamification(VerlindeError):
 
 
 class IntegralityError(VerlindeError):
-    """A computed dimension has a large imaginary part or a negative value."""
+    """A computed dimension is negative, its CRT lift fails the check prime,
+    or its torus-point phases are past float64's exact range."""
 
 
 class SchemaError(VerlindeError):

@@ -11,7 +11,8 @@ Conventions used throughout the package
   ``t = exp(2*pi*i*xi)``.  It is held as its exponent vector
   ``y[i] = omega_i(xi)``, integers over one least denominator
   (``Exponents``), so every ``lambda(xi)`` is an exact integer residue mod
-  that denominator; only the final complex exponential is floating point.
+  that denominator.  A character at a point is returned as its integer
+  counts per residue, an element of Z[zeta_den]; no value here is rounded.
   The inverse Cartan matrix and the form are integers over one denominator.
 """
 
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntegralityError, NonDominant, SingularPoint, UnsupportedType
+from .errors import IntegralityError, NonDominant, UnsupportedType
 from .util import integer_inverse, memo
 
 # (type, min rank, max rank); E7/E8 stay out of the table
@@ -492,31 +493,20 @@ class RootDatum:
         """exp(2 pi i y-pairing) differs from 1 on every root."""
         return all(p % y.den for p in self.root_pairings(y))
 
-    def weyl_denominators(self, ys):
-        """The alternating sum over W of e^{w rho} at each point of ys.
+    def character_at_exponents(self, lam, ys, method="quotient"):
+        """Residue counts of chi_lambda at every point y of ys: one int64
+        array c of length y.den per point, for sum_r c[r] zeta^r with
+        zeta = e^{2 pi i / y.den}.
 
-        Raises SingularPoint if a point lies on a root hyperplane, the exact
-        test for a zero denominator.
-        """
-        if not all(self.point_is_regular(y) for y in ys):
-            raise SingularPoint("point lies on a root hyperplane")
-        return _phase_sums(self._orbit_chunks(self.rho), ys, self._reach(self.rho))
-
-    def character_at_exponents(self, lam, ys, method="quotient", weyl_den=None):
-        """chi_lambda at every point of the exponent list ys, as complex numbers.
-
-        "quotient" divides the alternating sum over the orbit of lam+rho by
-        the Weyl denominators (weyl_den, if the caller holds them for ys);
-        "weights" sums over the weights of V(lam) and needs no regularity.
+        "weights" counts the weights of V(lam), so the sum is chi_lambda(t);
+        "quotient" counts the alternating orbit of lam+rho, so the sum is the
+        Weyl numerator chi_lambda(t) e^rho prod_{alpha>0} (1 - e^{-alpha}).
         """
         self._require_dominant(lam)
         if method == "weights":
             return _phase_sums([self._weight_arrays(lam)], ys, self._reach(lam))
-        if weyl_den is None:
-            weyl_den = self.weyl_denominators(ys)
         lr = tuple(x + 1 for x in lam)
-        nums = _phase_sums(self._orbit_chunks(lr), ys, self._reach(lr))
-        return [num / den for num, den in zip(nums, weyl_den)]
+        return _phase_sums(self._orbit_chunks(lr), ys, self._reach(lr))
 
     def _reach(self, v):
         """max <v, beta^vee> over the positive coroots, for dominant v: no
@@ -529,22 +519,17 @@ class RootDatum:
 
 
 def _phase_sums(chunks, ys, reach):
-    """[sum_j weights[j] * e^{2 pi i (rows[j] . y.num) / y.den} for y in ys],
-    j running over the (rows, weights) chunks, no row entry above reach in
-    size.
+    """Per point y of ys, the int64 counts c of length y.den, c[r] the sum of
+    weights[j] over the rows j of the (rows, weights) chunks with
+    rows[j] . y.num = r (mod y.den); no row entry is above reach in size.
 
-    Every phase rows[j] . y.num is an exact integer.  Per chunk and block of
-    points, one float64 matrix product gives the phases, exact because the
-    guard below keeps them under 2^53.  Per point, the phases are shifted by
-    a multiple of y.den to start in [0, y.den), one bincount sums the integer
-    weights per phase, and summing its rows of y.den folds them onto the
-    residues; where that range is more than _SPAN_PER_ROW times the rows,
-    the phases are reduced mod y.den before the bincount instead, so memory
-    follows the rows, not the weight.  The residue counts add up over the
-    chunks, exact in float64 up to 2^53, so the heavy alternating
-    cancellation happens in integer arithmetic, and only each point's final
-    <= den-term sum over its roots of unity touches floats.  A common modulus for all points would change
-    those last sums' rounding.
+    Per chunk and block of points, one float64 matrix product gives the
+    integer phases, exact because the guard below keeps them under 2^53.
+    Per point, the phases are shifted by a multiple of y.den to start in
+    [0, y.den), one bincount sums the weights per phase, and summing its
+    rows of y.den folds them onto the residues; where that range is more
+    than _SPAN_PER_ROW times the rows, the phases are reduced mod y.den
+    first, so memory follows the rows, not the weight.
     """
     if not ys:
         return []
@@ -556,7 +541,7 @@ def _phase_sums(chunks, ys, reach):
                                "products would not be exact")
     nums = np.array([[x % y.den for x in y.num] for y in ys], dtype=np.float64)
     starts = np.cumsum(dens) - dens     # each point's residues in counts
-    counts = np.zeros(int(dens.sum()))
+    counts = np.zeros(int(dens.sum()), dtype=np.int64)
     work = {}
 
     def scratch(name, shape, dtype=np.float64):
@@ -592,18 +577,8 @@ def _phase_sums(chunks, ys, reach):
                 else:
                     raw = np.bincount(phases[k], weights=weights, minlength=n)
                     raw = raw.reshape(-1, den).sum(axis=0)
-                counts[first:first + den] += raw
-    out = []
-    for y, first in zip(ys, starts.tolist()):
-        c = counts[first:first + y.den]
-        table = _roots_of_unity(y.den)
-        out.append(complex(math.fsum(c * table.real), math.fsum(c * table.imag)))
-    return out
-
-
-@memo
-def _roots_of_unity(d):
-    return np.exp(2j * np.pi * np.arange(d) / d)
+                counts[first:first + den] += raw.astype(np.int64)
+    return np.split(counts, starts[1:])
 
 
 @memo

@@ -1,5 +1,5 @@
-"""Small exact-arithmetic helpers: integer determinants and inverses,
-rounding, and the package's one cache idiom."""
+"""Small exact-arithmetic helpers: integer determinants and inverses, and
+the package's one cache idiom."""
 
 import functools
 import threading
@@ -26,13 +26,6 @@ def memo(fn):
 
     cached.cache = cache
     return cached
-
-
-def round_half_away(x):
-    """Round a real number half-away-from-zero to an int."""
-    if x >= 0:
-        return int(x + 0.5)
-    return -int(-x + 0.5)
 
 
 def integer_determinant(mat):

@@ -5,9 +5,11 @@ sl2 fusion ring is combinatorial, lattice orders come from sympy's Smith
 normal form, the twisted level marks are a frozen table, Weyl orbits,
 root systems and coroots come from set-based searches that use only the
 Cartan matrix, type-A weight multiplicities are Kostka numbers counted on
-semistandard tableaux, and rational linear algebra is sympy's.
+semistandard tableaux, rational linear algebra is sympy's, and character
+values are folded from residue counts at numpy's roots of unity.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +244,43 @@ def positive_coroots(cartan):
                     nxt.append(w)
         frontier = nxt
     return sorted(d for d in found if all(x >= 0 for x in d))
+
+
+@functools.cache
+def _positive_roots(cartan):
+    inv = rational_inverse(cartan)
+    return [v for v in roots_by_reflection(cartan)
+            if all(sum(x * c for x, c in zip(row, v)) >= 0 for row in inv)]
+
+
+def positive_roots(cartan):
+    """The positive roots as weight tuples: the roots whose simple-root
+    coordinates (cartan^{-1} applied) are non-negative."""
+    return _positive_roots(tuple(tuple(int(x) for x in row) for row in cartan))
+
+
+# -- character values from residue counts ------------------------------------
+
+def fold_counts(counts, ys):
+    """sum_r c[r] e^{2 pi i r / y.den} for the residue counts c of each point y."""
+    return [complex(np.dot(c, np.exp(2j * np.pi * np.arange(y.den) / y.den)))
+            for c, y in zip(counts, ys)]
+
+
+def weyl_quotient(counts, ys, cartan):
+    """The folded counts of each point y divided by the Weyl denominator
+    e^rho prod_{alpha>0} (1 - e^{-alpha}) at y: a character from the residue
+    counts of its Weyl numerator."""
+    roots = positive_roots(cartan)
+    out = []
+    for value, y in zip(fold_counts(counts, ys), ys):
+        def e(w):
+            return np.exp(2j * np.pi * sum(a * b for a, b in zip(w, y.num)) / y.den)
+        den = e([1] * len(y.num))
+        for alpha in roots:
+            den *= 1 - 1 / e(alpha)
+        out.append(value / den)
+    return out
 
 
 def number_of_roots_classical(lie_type, rank):

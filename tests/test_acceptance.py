@@ -12,8 +12,8 @@ from twistblocks import (ambient_alphabet, build_root_datum, build_twist,
                          fusion_coefficient, general_dimension,
                          kac_walton_dimension, riemann_hurwitz_genus,
                          twisted_three_point, weight_alphabet)
-from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, sl2_verlinde,
-                     weyl_order_classical)
+from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, fold_counts, sl2_verlinde,
+                     weyl_order_classical, weyl_quotient)
 
 NONTRIVIAL_ROWS = list(STANDARD_ROWS)
 
@@ -92,30 +92,35 @@ def test_acceptance_3_classical_reduction():
 
 
 def test_acceptance_4_orthogonality():
-    from twistblocks.dims import _table
+    # exact in F_p for the two primes of each table: sum over the points of
+    # chi_nu chi_{nu'*} Delta is |T_c| delta, and so is the dual sum over
+    # the weights at a pair of points
+    from twistblocks.dims import _primes, _table
     failures = []
     for (t, r) in [("A", 1), ("A", 2), ("C", 2)]:
         rd = build_root_datum(t, r)
         data = tw(t, r, "identity")
         for c in (1, 2, 3):
             table = _table(data, c)
-            enum, chi, delta = table.enum, table.fixed.char, table.ambient.delta
+            enum, primes = table.enum, _primes(table.n, 2)
+            delta = table.ambient.power(1, 1, 2)
             dc = ambient_alphabet(data, c)
+            chi = {nu: table.fixed.char(nu, 2) for nu in dc}
+            dual = {nu: table.fixed.char(rd.dual_weight(nu), 2) for nu in dc}
+            unit = enum.order_T % primes[:, 0]
             for nu in dc:
                 for nup in dc:
-                    dual = rd.dual_weight(nup)
-                    s = sum(x * y * d for x, y, d in zip(chi(nu), chi(dual), delta))
-                    s /= enum.order_T
-                    if abs(s - (1.0 if nu == nup else 0.0)) > 1e-8:
+                    s = (chi[nu] * dual[nup] % primes * delta % primes).sum(axis=1) \
+                        % primes[:, 0]
+                    if (s != (unit if nu == nup else 0)).any():
                         failures.append(("points", t, r, c, nu, nup, s))
             # Eq.(48) form: sum over weights at a fixed pair of points
             npts = len(enum.points)
             for p1 in range(npts):
                 for p2 in range(npts):
-                    s = sum(chi(nu)[p2] * chi(rd.dual_weight(nu))[p1] * delta[p1]
-                            for nu in dc)
-                    s /= enum.order_T
-                    if abs(s - (1.0 if p1 == p2 else 0.0)) > 1e-8:
+                    s = sum(chi[nu][:, p2] * dual[nu][:, p1] % primes[:, 0]
+                            * delta[:, p1] % primes[:, 0] for nu in dc) % primes[:, 0]
+                    if (s != (unit if p1 == p2 else 0)).any():
                         failures.append(("weights", t, r, c, s))
     for (t, r, kind) in NONTRIVIAL_ROWS:
         data = tw(t, r, kind)
@@ -127,7 +132,7 @@ def test_acceptance_4_orthogonality():
                     got = fusion_coefficient(data, c, lam, mu, zero).value
                     if got != (1 if lam == mu else 0):
                         failures.append(("twisted", t, r, kind, c, lam, mu, got))
-    _report(4, "untwisted orthogonality within 1e-8 for A1/A2/C2 (c <= 3); "
+    _report(4, "untwisted orthogonality exact in F_p for A1/A2/C2 (c <= 3); "
                "twisted c^0_{lm} = delta exactly for all six rows (c <= 2)",
             failures)
 
@@ -180,8 +185,8 @@ def test_acceptance_6_character_engine():
                 if rd.point_is_regular(y):
                     xis.append(xi)
                     ys.append(y)
-            quotient = rd.character_at_exponents(lam, ys)
-            weights = rd.character_at_exponents(lam, ys, method="weights")
+            quotient = weyl_quotient(rd.character_at_exponents(lam, ys), ys, rd.cartan)
+            weights = fold_counts(rd.character_at_exponents(lam, ys, method="weights"), ys)
             for xi, a, b in zip(xis, quotient, weights):
                 if abs(a - b) > 1e-9 * max(1.0, abs(b)):
                     failures.append(("agree", t, r, lam, xi, abs(a - b)))

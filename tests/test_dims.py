@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import isprime, n_order
 
 from twistblocks import (InconsistentRamification,
                          IntegralityError, NotInAlphabet, UnstableInput,
@@ -16,8 +17,9 @@ from twistblocks import (InconsistentRamification,
                          general_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
-from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _Characters, _PointTable, _finalize,
-                             _fsum, _point_sum, _ratio, _table)
+from twistblocks import dims
+from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _Characters, _PointTable, _modulus,
+                             _point_sum, _primes, _table)
 from oracles import (STANDARD_ROWS, roots_by_reflection, signed_orbit_bfs,
                      sl2_verlinde)
 
@@ -74,28 +76,31 @@ def test_classical_genus_one_counts_alphabet():
 # -- orthogonality -----------------------------------------------------------
 
 def test_untwisted_orthogonality_both_forms():
-    # sum over points of chi_nu chi_{nu'*} Delta / |T_c| = delta, and the
-    # dual relation summing over weights at fixed points (Eq. 48 style)
+    # sum over points of chi_nu chi_{nu'*} Delta = |T_c| delta, and the dual
+    # relation summing over weights at fixed points (Eq. 48 style), exactly
+    # in F_p for the first three primes of each table
     for (t, r) in [("A", 1), ("A", 2), ("C", 2)]:
         rd = build_root_datum(t, r)
         data = build_twist(rd, "identity")
         for c in (1, 2, 3):
             table = _table(data, c)
-            enum, chi, delta = table.enum, table.fixed.char, table.ambient.delta
+            primes = _primes(table.n, 3)
+            p = primes[:, 0]
+            unit = table.enum.order_T % p
+            delta = table.ambient.power(1, 1, 3)
             dc = ambient_alphabet(data, c)
+            chi = {nu: table.fixed.char(nu, 3) for nu in dc}
+            dual = {nu: table.fixed.char(rd.dual_weight(nu), 3) for nu in dc}
             for nu in dc:
                 for nup in dc:
-                    dual = rd.dual_weight(nup)
-                    s = sum(x * y * d for x, y, d in zip(chi(nu), chi(dual), delta))
-                    s /= enum.order_T
-                    assert abs(s - (1.0 if nu == nup else 0.0)) < 1e-8
-            npts = len(enum.points)
+                    s = (chi[nu] * dual[nup] % primes * delta % primes).sum(axis=1) % p
+                    assert (s == (unit if nu == nup else 0)).all()
+            npts = len(table.enum.points)
             for pt in range(npts):
                 for pt2 in range(npts):
-                    s = sum(chi(nu)[pt2] * chi(rd.dual_weight(nu))[pt] * delta[pt]
-                            for nu in dc)
-                    s /= enum.order_T
-                    assert abs(s - (1.0 if pt == pt2 else 0.0)) < 1e-8
+                    s = sum(chi[nu][:, pt2] * dual[nu][:, pt] % p * delta[:, pt] % p
+                            for nu in dc) % p
+                    assert (s == (unit if pt == pt2 else 0)).all()
 
 
 def test_twisted_orthogonality_c0_is_delta():
@@ -278,15 +283,15 @@ def test_factorization_four_pairs():
 
 
 def test_factorized_residual_covers_its_inputs():
-    # the rounded three-point numbers are inputs of the glued sum: their
-    # residuals are part of the reported one (here they are its largest part)
+    # the three-point numbers glued into the sum are exact integers, like
+    # the sum itself, so the reported residual is 0.0, as are theirs
     for t, r, kind in (("A", 3, "diagram2"), ("D", 4, "diagram3")):
         data = tw(t, r, kind)
         lam = weight_alphabet(data, 2).members[-1]
         inputs = [twisted_three_point(data, 2, lam, lam, nu).residual
                   for nu in ambient_alphabet(data, 2)]
         assert factorized_dimension(data, 2, 1, (lam, lam), ()).residual \
-            >= max(inputs) > 0
+            == max(inputs) == 0.0
 
 
 def test_factorized_empty_product_is_classical():
@@ -314,123 +319,148 @@ def test_dimension_results_are_clean_integers():
     for lam in alphabet:
         for nu in amb[:5]:
             res = twisted_three_point(data, c, lam, lam, nu)
-            assert res.value >= 0
-            assert res.residual < 1e-5
-            assert abs(res.raw.imag) < 1e-7
+            assert type(res.value) is int and res.value >= 0
+            assert res.residual == 0.0
 
 
-def test_float_overflow_is_an_integrality_error():
-    # |T_c|^{g-1} = 6^599 exceeds the float range although N = 2^600 does not;
-    # at level 10 a term Delta^{-599} overflows first
-    for c in (1, 10):
-        with pytest.raises(IntegralityError, match="float range"):
-            classical_verlinde(A1, c, 600, [])
+def test_sums_past_the_float_range_are_exact():
+    # |T_c|^{g-1} = 6^599 and, at level 10, a term Delta^{-599} are far past
+    # the float range; the lift from about 20 primes is exact there
+    assert classical_verlinde(A1, 1, 600, []).value == 2 ** 600
+    assert classical_verlinde(A1, 10, 600, []).value == sl2_verlinde(10, 600, [])
     data = tw("A", 3, "diagram2")
     for lam in ((), ((0, 0), (0, 0))):
-        for formula in (general_dimension, factorized_dimension):
-            with pytest.raises(IntegralityError, match="float range"):
-                formula(data, 2, 300, lam, ())
-    for raw in (math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
-        with pytest.raises(IntegralityError, match="not finite"):
-            _finalize(raw, "overflowed sum")
+        assert general_dimension(data, 2, 300, lam, ()).value == \
+            factorized_dimension(data, 2, 300, lam, ()).value > 2 ** 1024
 
 
-# Known failures of the float point sum: roundoff pushes the imaginary part of
-# each raw sum past the 1e-7 guard.  An exact point sum must answer them, and
-# strict xfail then reports the pass until the markers go.
-_FLOAT_GUARD = pytest.mark.xfail(strict=True, raises=IntegralityError,
-                                 reason="float point sum fails the imaginary-part guard")
-
-
-@_FLOAT_GUARD
 @pytest.mark.parametrize("formula", [general_dimension, factorized_dimension])
 def test_d4_triality_genus_two_curve_is_an_integer(formula):
     res = formula(tw("D", 4, "diagram3"), 3, 2, ((0, 1),) + ((0, 0),) * 5,
                   ((0, 0, 1, 2),))
-    assert res.value >= 0
-    assert res.residual < 1e-5
+    assert res.value == 352346112
+    assert res.residual == 0.0
 
 
-@_FLOAT_GUARD
 def test_g2_level_120_genus_one_is_an_integer():
+    # 3721 points, some with Weyl denominators of size about 1e-5
     res = classical_verlinde(build_root_datum("G", 2), 120, 1, [(1, 0), (0, 1), (1, 1)])
-    assert res.value >= 0
-    assert res.residual < 1e-5
+    assert res.value == 987200
+    assert res.residual == 0.0
 
 
-def test_lattice_factor_is_the_rounded_rational():
-    # |T_c|^k / |T_c^sigma|^a as an int ratio is the float of the exact
-    # rational, also where both powers are far past the float range
+def test_classical_a1_matches_sl2_oracle_at_high_genus():
+    # seeded draws with c <= 20, genus <= 10 and three weights; the first is
+    # a zero dimension with a large alternating sum behind it
+    rng = random.Random(7)
+    draws = [(10, 8, (3, 9, 5))]
+    for _ in range(220):
+        c = rng.randint(1, 20)
+        draws.append((c, rng.randint(0, 10), tuple(rng.randint(0, c) for _ in range(3))))
+    for c, g, ws in draws:
+        got = classical_verlinde(A1, c, g, [(w,) for w in ws]).value
+        assert got == sl2_verlinde(c, g, list(ws)), (c, g, ws)
+    assert classical_verlinde(A1, 10, 8, [(3,), (9,), (5,)]).value == 0
+
+
+def test_moduli_are_primes_with_an_element_of_exact_order_n():
+    # checked with sympy: p prime, p = 1 (mod n), p < 2^31, and the powers
+    # held are those of a g of multiplicative order exactly n
+    ns = {_table(tw(t, r, kind), c).n for (t, r, kind) in STANDARD_ROWS + IDENTITY_ROWS
+          for c in (1, 2, 3)}
+    ns |= {_table(tw("G", 2, "identity"), 120).n, 2, 3, 4, 6}
+    for n in sorted(ns):
+        primes = [_modulus(n, i)[0] for i in range(4)]
+        assert primes == sorted(primes, reverse=True) and len(set(primes)) == 4
+        for i, p in enumerate(primes):
+            powers = _modulus(n, i)[1].tolist()
+            assert isprime(p) and p % n == 1 and p < 2 ** 31, (n, p)
+            g = powers[1] if n > 1 else 1
+            assert n_order(g, p) == n, (n, p, g)
+            assert powers == [pow(g, j, p) for j in range(n)]
+
+
+def test_a_lift_one_prime_short_fails_the_check_prime(monkeypatch):
+    # genus 600 with no insertions: every term is positive, so the bound is
+    # the value 2^600 itself, and one prime fewer cannot hold it
+    table = _table(tw("A", 1, "identity"), 1)
+    full = dims._lift_primes(table.n, math.log(2 ** 600))
+    assert math.prod(_modulus(table.n, i)[0] for i in range(full - 1)) < 2 ** 601
+    real = dims._lift_primes
+    monkeypatch.setattr(dims, "_lift_primes", lambda n, log_bound: real(n, log_bound) - 1)
+    with pytest.raises(IntegralityError, match="check prime"):
+        classical_verlinde(A1, 1, 600, [])
+    monkeypatch.undo()
+    assert classical_verlinde(A1, 1, 600, []).value == 2 ** 600
+
+
+def test_lattice_factor_is_the_exact_rational():
+    # prod b^e enters each F_p image as pow(b, e, p): with no columns the sum
+    # is |Sigma_c| times the factor, exact also far past the float range
+    table = _table(tw("A", 3, "diagram2"), 2)
+    npts = len(table.enum.points)
     rng = random.Random(29)
     past = 0
-    for _ in range(400):
-        t, ts = rng.randrange(2, 10 ** 12), rng.randrange(2, 10 ** 12)
-        k, a = rng.randrange(0, 40), rng.randrange(0, 40)
-        try:
-            want = float(Fraction(t) ** k / Fraction(ts) ** a)
-        except OverflowError:
-            past += 1
-            with pytest.raises(IntegralityError, match="float range"):
-                _ratio(t ** k, ts ** a, "factor")
-        else:
-            assert _ratio(t ** k, ts ** a, "factor") == want, (t, ts, k, a)
-    assert 0 < past < 400
+    for _ in range(200):
+        b, d = rng.randrange(2, 10 ** 12), rng.randrange(2, 10 ** 6)
+        k = rng.randrange(0, 40)
+        a = rng.randrange(0, k + 1)
+        want = npts * b ** k * d ** (k - a)
+        past += want > 2 ** 1024
+        assert _point_sum(table, ((b * d, k), (d, -a))) == want, (b, d, k, a)
+    assert 0 < past < 200
 
 
 def test_point_table_builds_ambient_exponents_when_read():
     # fusion coefficients and classical sums read no ambient character
     data = tw("A", 3, "diagram2")
     table = _PointTable(data, 2)
-    table.fixed.char((1, 0))
-    table.fixed.delta
+    table.fixed.char((1, 0), 2)
+    table.fixed.power(1, 1, 2)
     assert "ambient" not in vars(table)
-    chi = table.ambient.char((1, 0, 0))
+    chi = table.ambient.char((1, 0, 0), 2)
     assert "ambient" in vars(table)
-    assert chi == _table(data, 2).ambient.char((1, 0, 0))
+    assert np.array_equal(chi, _table(data, 2).ambient.char((1, 0, 0), 2))
 
 
 def _reversed_table(data, c):
     """The point table of (data, c) with its points in reverse order."""
     table = _PointTable(data, c)
     table.enum = dataclasses.replace(table.enum, points=table.enum.points[::-1])
-    table.fixed = _Characters(data.fixed, table.enum.points, 0)
+    table.fixed = _Characters(data.fixed, table.enum.points, 0, table.n)
     return table
 
 
-def _bits(z):
-    return z.real.hex(), z.imag.hex()
-
-
 def test_point_sum_does_not_depend_on_term_order():
-    # each term is the same product at its point whatever the order, and the
-    # sum is correctly rounded, so reversing the points (or a glued column's
-    # weights) leaves every raw value bit for bit as it was
+    # each point's image is the same whatever the order, and the sum is an
+    # exact integer, so reversing the points (or a glued column's weights)
+    # leaves every value as it was
     data = tw("A", 3, "diagram2")
     table, rev = _table(data, 4), _reversed_table(data, 4)
-    assert [rev.fixed.char(lam)[::-1] for lam in ((0, 0), (1, 0))] == \
-        [table.fixed.char(lam) for lam in ((0, 0), (1, 0))]
+    for lam in ((0, 0), (1, 0)):
+        assert np.array_equal(rev.fixed.char(lam, 2)[:, ::-1], table.fixed.char(lam, 2))
     alphabet = weight_alphabet(data, 4).members
+    three = ((table.enum.order_Tsigma, -1),)
     for lam, mu, eta in itertools.product(alphabet, repeat=3):
         args = dict(fixed=(lam, mu, eta), a=1)
-        assert _bits(_point_sum(rev, **args)) == _bits(_point_sum(table, **args)), \
+        assert _point_sum(rev, three, **args) == _point_sum(table, three, **args), \
             (lam, mu, eta)
-    amb = ambient_alphabet(data, 4)
-    glued = [[(k % 3 - 1, lam) for k, lam in enumerate(alphabet)]]
-    for nu in amb:
+    curve = ((table.enum.order_T, 1), (table.enum.order_Tsigma, -1))
+    for nu in ambient_alphabet(data, 4):
         args = dict(fixed=alphabet[:2], ambient=(nu,), a=1, dexp=1)
-        assert _bits(_point_sum(rev, **args)) == _bits(_point_sum(table, **args)), nu
-        args = dict(ambient=(nu,), glued=glued, dexp=-1)
-        want = _bits(_point_sum(table, **args))
-        assert _bits(_point_sum(rev, **args)) == want, nu
-        assert _bits(_point_sum(table, ambient=(nu,), glued=[glued[0][::-1]],
-                                dexp=-1)) == want, nu
-
-
-def test_point_sum_past_the_float_range_is_an_integrality_error():
-    assert _fsum([1 + 2j, 3 - 1j]) == 4 + 1j
-    for values in ([complex(1e308, 0)] * 2, [complex(0, math.inf), complex(0, -math.inf)]):
-        with pytest.raises(IntegralityError, match="float range"):
-            _fsum(values)
+        assert _point_sum(rev, curve, **args) == _point_sum(table, curve, **args), nu
+    # glued columns, on the classical table of the ambient algebra at genus 0
+    ident = build_twist(data.ambient, "identity")
+    table, rev = _table(ident, 2), _reversed_table(ident, 2)
+    amb = ambient_alphabet(ident, 2)
+    glued = [[(k % 3 - 1, nu) for k, nu in enumerate(amb)]]
+    genus0 = ((table.enum.order_T, -1),)
+    for nu in amb:
+        args = dict(fixed=(nu, amb[1]), glued=glued, dexp=-1)
+        want = _point_sum(table, genus0, **args)
+        assert _point_sum(rev, genus0, **args) == want, nu
+        assert _point_sum(table, genus0, fixed=(nu, amb[1]), glued=[glued[0][::-1]],
+                          dexp=-1) == want, nu
 
 
 def test_sigma_c_points_are_regular_for_the_ambient_algebra():
@@ -453,25 +483,29 @@ def test_sigma_c_points_are_regular_for_the_ambient_algebra():
                     assert pairing.denominator != 1, (t, r, kind, c, y, root)
 
 
-def _phase_count_sum(multiset, y):
-    """sum of m * e^{2 pi i (v . y.num) / y.den} over {v: m}, the phases
-    counted per residue in plain ints and finished by one fsum per part."""
+def _counts(multiset, y):
+    """The residue counts of sum m e^{2 pi i (v . y.num) / y.den} over
+    {v: m}, in plain ints."""
     counts = [0] * y.den
     for v, m in multiset.items():
         counts[sum(map(operator.mul, v, y.num)) % y.den] += m
-    table = np.exp(2j * np.pi * np.arange(y.den) / y.den)
-    return complex(math.fsum(c * z for c, z in zip(counts, table.real)),
-                   math.fsum(c * z for c, z in zip(counts, table.imag)))
+    return counts
 
 
-def _alternant_reference(rd, vec, ys):
-    orbit = signed_orbit_bfs(rd.cartan, vec)
-    return [_phase_count_sum(orbit, y) for y in ys]
-
-
-def _quotient_reference(rd, lam, ys, weyl_den):
-    num = _alternant_reference(rd, tuple(x + 1 for x in lam), ys)
-    return [n / d for n, d in zip(num, weyl_den)]
+def _images(multiset, ys, n, k, over=None):
+    """Rows i < k of sum_r counts[r] g^{r n / y.den} mod p at each point y,
+    (p, g) the i-th modulus of n and the counts those of the multiset, each
+    entry divided by the one of over, if given."""
+    counts = [_counts(multiset, y) for y in ys]
+    out = []
+    for i in range(k):
+        p, pw = _modulus(n, i)
+        row = [sum(m * int(pw[r * (n // y.den)]) for r, m in enumerate(cs)) % p
+               for cs, y in zip(counts, ys)]
+        if over is not None:
+            row = [x * pow(d, -1, p) % p for x, d in zip(row, over[i])]
+        out.append(row)
+    return out
 
 
 IDENTITY_ROWS = (("A", 1, "identity"), ("A", 2, "identity"), ("B", 2, "identity"),
@@ -479,23 +513,29 @@ IDENTITY_ROWS = (("A", 1, "identity"), ("A", 2, "identity"), ("B", 2, "identity"
 
 
 def test_batched_characters_match_per_point_reference():
-    # one batched call per table gives, bit for bit, each point's own sum
+    # one batched call per table gives each point's own residue counts, and
+    # the table's F_p images are the images of those counts, a quotient's
+    # over the image of rho's alternant: the root product
+    # e^rho prod (1 - e^-alpha) the table divides by is that alternant
     for (t, r, kind) in STANDARD_ROWS + IDENTITY_ROWS:
         data = tw(t, r, kind)
         fixed, amb = data.fixed, data.ambient
         for c in (1, 2, 3):
             table = _PointTable(data, c)
-            weyl_den = _alternant_reference(fixed, fixed.rho, table.fixed.ys)
+            ys = table.fixed.ys
+            weyl = _images(signed_orbit_bfs(fixed.cartan, fixed.rho), ys, table.n, 2)
             for lam in weight_alphabet(data, c).members:
-                assert table.fixed.char(lam) == _quotient_reference(
-                    fixed, lam, table.fixed.ys, weyl_den)
+                alternant = signed_orbit_bfs(fixed.cartan, [x + 1 for x in lam])
+                got = fixed.character_at_exponents(lam, ys)
+                assert [c.tolist() for c in got] == [_counts(alternant, y) for y in ys]
+                assert table.fixed.char(lam, 2).tolist() == \
+                    _images(alternant, ys, table.n, 2, over=weyl)
             for nu in ambient_alphabet(data, c):
                 # above the cap only E6 weights at c = 3, beyond the search
                 # oracle; the next test covers the ambient quotient
                 if amb.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
-                    assert table.ambient.char(nu) == [
-                        _phase_count_sum(amb.weight_system(nu), y)
-                        for y in table.ambient.ys]
+                    assert table.ambient.char(nu, 2).tolist() == _images(
+                        amb.weight_system(nu), table.ambient.ys, table.n, 2)
 
 
 def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
@@ -508,10 +548,12 @@ def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
         for c in (1, 2):
             table = _PointTable(data, c)
             monkeypatch.setattr(table.ambient, "weight_cap", 0)
-            weyl_den = _alternant_reference(amb, amb.rho, table.ambient.ys)
+            ys = table.ambient.ys
+            weyl = _images(signed_orbit_bfs(amb.cartan, amb.rho), ys, table.n, 2)
             for nu in ambient_alphabet(data, c):
-                assert table.ambient.char(nu) == _quotient_reference(
-                    amb, nu, table.ambient.ys, weyl_den)
+                alternant = signed_orbit_bfs(amb.cartan, [x + 1 for x in nu])
+                assert table.ambient.char(nu, 2).tolist() == \
+                    _images(alternant, ys, table.n, 2, over=weyl)
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------

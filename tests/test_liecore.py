@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from sympy import Matrix
 
-from twistblocks import (IntegralityError, NonDominant, RootDatum, SingularPoint,
+from twistblocks import (IntegralityError, NonDominant, RootDatum,
                          UnsupportedType, build_root_datum, build_twist,
                          enumerate_sigma_c)
+from twistblocks.dims import _Characters
 from twistblocks.liecore import _PHASE_BLOCK, Exponents
-from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, form_value,
+from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, fold_counts, form_value,
                      invariant_form, kostka_numbers, number_of_roots_classical,
                      positive_coroots, roots_by_reflection, signed_orbit_bfs,
-                     simple_root_lengths, solve_rational, weyl_order_classical)
+                     simple_root_lengths, solve_rational, weyl_order_classical,
+                     weyl_quotient)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -30,9 +32,13 @@ def random_regular_xi(rd, rng, spread=3):
 
 
 def chi(rd, lam, xis, method="quotient"):
-    """chi_lam at each coweight point of xis, in one character_at_exponents call."""
-    return rd.character_at_exponents(lam, [rd.exponent_vector(xi) for xi in xis],
-                                     method=method)
+    """chi_lam at each coweight point of xis, from one character_at_exponents
+    call, its residue counts folded by the oracle."""
+    ys = [rd.exponent_vector(xi) for xi in xis]
+    counts = rd.character_at_exponents(lam, ys, method=method)
+    if method == "weights":
+        return fold_counts(counts, ys)
+    return weyl_quotient(counts, ys, rd.cartan)
 
 
 def streamed_orbit(rd, vec):
@@ -159,16 +165,15 @@ def test_weyl_quotient_character_peak_memory_stays_near_the_phase_block():
     # alone is 51840 x 6 int64, 2.5 MB
     rd = build_root_datum("E", 6)
     ys = enumerate_sigma_c(build_twist(rd, "identity"), 2).points
-    weyl_den = rd.weyl_denominators(ys)     # caches rho's walk
     lam = (1, 0, 0, 0, 0, 1)
-    want = rd.character_at_exponents(lam, ys, weyl_den=weyl_den)
+    want = rd.character_at_exponents(lam, ys)      # caches rho's walk
     tracemalloc.start()
     try:
-        got = rd.character_at_exponents(lam, ys, weyl_den=weyl_den)
+        got = rd.character_at_exponents(lam, ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == want
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # eight arrays of a chunk's budget of float64 or int64 entries: 2 MiB
     assert peak < 8 * _PHASE_BLOCK * 8, peak
 
@@ -191,10 +196,11 @@ def test_huge_weight_character_allocates_nothing_in_proportion(lam):
     y = Exponents((1,), 6)
     tracemalloc.start()
     try:
-        got, = A1.character_at_exponents((lam,), [y])
+        counts = A1.character_at_exponents((lam,), [y])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    got, = weyl_quotient(counts, [y], A1.cartan)
     want = math.sin(2 * math.pi * ((lam + 1) % 6) / 6) / math.sin(2 * math.pi / 6)
     assert abs(got - want) < 1e-12, (got, want)
     assert peak < 1 << 20, peak
@@ -401,18 +407,30 @@ def test_character_weyl_invariance():
 
 
 def test_character_bound_and_phase_bookkeeping():
+    # one int64 count per residue of each point's own denominator; the
+    # weight counts add up to dim V(lam), the alternant's to 0
     rng = random.Random(31)
     for t, r in [("A", 2), ("C", 2)]:
         rd = build_root_datum(t, r)
         lam = (1,) * r
         xis = [random_regular_xi(rd, rng) for _ in range(5)]
+        ys = [rd.exponent_vector(xi) for xi in xis]
+        for method, total in (("weights", rd.weyl_dimension(lam)), ("quotient", 0)):
+            counts = rd.character_at_exponents(lam, ys, method=method)
+            for c, y in zip(counts, ys):
+                assert c.dtype == np.int64 and len(c) == y.den
+                assert c.sum() == total
         for cv in chi(rd, lam, xis, method="weights"):
-            assert isinstance(cv, complex)
             assert abs(cv) <= rd.weyl_dimension(lam) + 1e-9
 
 
 def test_singular_point_raises():
-    with pytest.raises(SingularPoint):
-        chi(A1, (1,), [(Fraction(0, 1),)])
-    with pytest.raises(SingularPoint):
-        chi(A2, (1, 0), [(Fraction(1, 2), Fraction(1, 2))])  # theta wall
+    # on a wall the Weyl numerator vanishes, so no quotient is defined there:
+    # a point table refuses such a point
+    for rd, xi in ((A1, (Fraction(0, 1),)),
+                   (A2, (Fraction(1, 2), Fraction(1, 2)))):     # theta wall
+        y = rd.exponent_vector(xi)
+        numerator, = fold_counts(rd.character_at_exponents((1,) * rd.rank, [y]), [y])
+        assert abs(numerator) < 1e-12
+        with pytest.raises(AssertionError, match="singular"):
+            _Characters(rd, [y], 0, y.den)
