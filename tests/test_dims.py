@@ -411,6 +411,18 @@ def test_lattice_factor_is_the_exact_rational():
     assert 0 < past < 200
 
 
+def test_point_sum_past_the_float_range_is_exact():
+    # terms of size 10^400 add, and cancel, exactly: a glued column of the
+    # vacuum is 3 at every point, one of chi - chi is 0
+    table = _table(tw("A", 3, "diagram2"), 2)
+    npts = len(table.enum.points)
+    assert _point_sum(table, ()) == npts
+    huge = ((10, 400),)
+    assert _point_sum(table, huge, glued=[[(3, (0, 0))]]) == 3 * npts * 10 ** 400
+    assert _point_sum(table, huge, glued=[[(1, (1, 0)), (-1, (1, 0))]]) == 0
+    assert _point_sum(table, huge, fixed=[(0, 0)]) == npts * 10 ** 400
+
+
 def test_point_table_builds_ambient_exponents_when_read():
     # fusion coefficients and classical sums read no ambient character
     data = tw("A", 3, "diagram2")
