@@ -7,9 +7,8 @@ factorization recursion.  See README for the CLI.
 
 from .alcove import (AlcoveEnumeration, FoldResult, enumerate_sigma_c,
                      fold_to_alcove, lattice_orders)
-from .dims import (DimensionResult, classical_verlinde, factorized_dimension,
-                   fusion_coefficient, general_dimension,
-                   riemann_hurwitz_genus, twisted_three_point)
+from .dims import (classical_verlinde, factorized_dimension, fusion_coefficient,
+                   general_dimension, riemann_hurwitz_genus, twisted_three_point)
 from .errors import (IllegalPair, InconsistentRamification, IntegralityError,
                      NonDominant, NotInAlphabet, SchemaError, UnstableInput,
                      UnsupportedCombination, UnsupportedType, VerlindeError)

@@ -26,6 +26,9 @@ from .twist import ambient_alphabet, build_twist, weight_alphabet
 
 SCHEMA_VERSION = 1
 
+# schema 1's per-row residual: every value is an exact integer
+RESIDUAL = 0.0
+
 _COMPUTATIONS = ("classical", "three_point", "fusion_table", "general",
                  "factorized", "crosscheck")
 
@@ -55,7 +58,7 @@ class Request:
     weights_ambient: tuple = ()
     genus_bar: int = 0
     pairs: int = 0
-    tolerance: float = 1e-5
+    tolerance: float = 1e-5     # schema 1 field: validated and echoed, judges nothing
     out_format: str = "table"
 
     def echo(self):
@@ -216,13 +219,12 @@ class Row:
     value_kac_walton is None outside a crosscheck.  as_doc, json's default
     hook, builds the row's dict, which lives only while the encoder writes it.
     """
-    __slots__ = ("names", "in0", "in1", "in2", "in3", "value", "residual",
-                 "value_kac_walton")
+    __slots__ = ("names", "in0", "in1", "in2", "in3", "value", "value_kac_walton")
 
-    def __init__(self, names, inputs, value, residual, value_kac_walton=None):
+    def __init__(self, names, inputs, value, value_kac_walton=None):
         self.names = names
         self.in0, self.in1, self.in2, self.in3 = (*inputs, None, None, None)[:4]
-        self.value, self.residual = value, residual
+        self.value = value
         self.value_kac_walton = value_kac_walton
 
     def inputs(self):
@@ -231,9 +233,8 @@ class Row:
     def as_doc(self):
         kw = self.value_kac_walton
         if kw is None:
-            return {"inputs": self.inputs(), "value": self.value,
-                    "residual": self.residual}
-        return {"inputs": self.inputs(), "value": self.value, "residual": self.residual,
+            return {"inputs": self.inputs(), "value": self.value, "residual": RESIDUAL}
+        return {"inputs": self.inputs(), "value": self.value, "residual": RESIDUAL,
                 "value_kac_walton": kw, "agree": kw == self.value}
 
 
@@ -246,16 +247,14 @@ def run_request(req):
     agreement = None
 
     if req.computation == "classical":
-        res = classical_verlinde(rd, c, req.genus_bar, req.weights_ambient)
+        value = classical_verlinde(rd, c, req.genus_bar, req.weights_ambient)
         rows = [Row(("genus", "weights"),
-                    (req.genus_bar, [list(w) for w in req.weights_ambient]),
-                    res.value, res.residual)]
+                    (req.genus_bar, [list(w) for w in req.weights_ambient]), value)]
         pipelines = ("classical_verlinde",)
     elif req.computation == "three_point":
         (lam, mu), (nu,) = req.weights_twisted, req.weights_ambient
-        res = twisted_three_point(twist, c, lam, mu, nu)
-        rows = [Row(("lambda", "mu", "nu"), (list(lam), list(mu), list(nu)),
-                    res.value, res.residual)]
+        value = twisted_three_point(twist, c, lam, mu, nu)
+        rows = [Row(("lambda", "mu", "nu"), (list(lam), list(mu), list(nu)), value)]
         pipelines = ("twisted_verlinde",)
     elif req.computation == "fusion_table":
         # one list per alphabet member, shared by its rows
@@ -265,17 +264,16 @@ def run_request(req):
         for a, la in alphabet:
             for b, lb in alphabet:
                 for e, le in alphabet:
-                    res = fusion_coefficient(twist, c, a, b, e)
-                    rows.append(Row(names, (la, lb, le), res.value, res.residual))
+                    rows.append(Row(names, (la, lb, le),
+                                    fusion_coefficient(twist, c, a, b, e)))
         pipelines = ("twisted_verlinde",)
     elif req.computation in ("general", "factorized"):
         fn = general_dimension if req.computation == "general" else factorized_dimension
-        res = fn(twist, c, req.genus_bar, req.weights_twisted, req.weights_ambient)
+        value = fn(twist, c, req.genus_bar, req.weights_twisted, req.weights_ambient)
         rows = [Row(("genus_bar", "pairs", "lambda_dagger", "mu"),
                     (req.genus_bar, req.pairs,
                      [list(w) for w in req.weights_twisted],
-                     [list(w) for w in req.weights_ambient]),
-                    res.value, res.residual)]
+                     [list(w) for w in req.weights_ambient]), value)]
         pipelines = ("twisted_verlinde" if req.computation == "general"
                      else "factorization",)
     elif req.computation == "crosscheck":
@@ -286,9 +284,9 @@ def run_request(req):
         for a, la in alphabet:
             for b, lb in alphabet:
                 for n, ln in amb:
-                    res = twisted_three_point(twist, c, a, b, n)
+                    value = twisted_three_point(twist, c, a, b, n)
                     kw, _ = kac_walton_dimension(twist, c, a, b, n)
-                    rows.append(Row(names, (la, lb, ln), res.value, res.residual, kw))
+                    rows.append(Row(names, (la, lb, ln), value, kw))
         agreement = all(r.value_kac_walton == r.value for r in rows)
         pipelines = ("twisted_verlinde", "kac_walton")
     else:  # pragma: no cover - parse_request already rejected it
@@ -300,12 +298,9 @@ def run_request(req):
 
 
 def report_ok(rep, tolerance):
-    """The residual judge: every row within tolerance, no disagreement."""
-    if any(r.residual > tolerance for r in rep.results):
-        return False
-    if rep.agreement is False:
-        return False
-    return True
+    """True unless a crosscheck disagrees.  Every value is exact, so the
+    tolerance, schema 1's, can fail no row; callers still pass it."""
+    return rep.agreement is not False
 
 
 # with indent set, json encodes through its pure-Python iterencode, which
@@ -334,12 +329,13 @@ def _table_lines(rep):
     keys = list(dict.fromkeys(k for row in rep.results for k in row.names))
     extra = ["value_kac_walton", "agree"] if rep.agreement is not None else []
     header = keys + ["value", "residual"] + extra
+    residual = f"{RESIDUAL:.2e}"
 
     def cells(row):
         inputs = row.inputs()
         out = [str(inputs.get(k, "")) for k in keys]
         out.append(str(row.value))
-        out.append(f"{row.residual:.2e}")
+        out.append(residual)
         if extra:
             kw = row.value_kac_walton
             out += [str(kw), str(kw == row.value)]
@@ -402,7 +398,6 @@ def main(argv=None):
                     "Kac-Walton recursion, factorization.")
     ap.add_argument("request", help="request file, or - for stdin")
     ap.add_argument("--format", choices=("table", "structured"), default=None)
-    ap.add_argument("--tolerance", type=float, default=None)
     args = ap.parse_args(argv)
 
     try:
@@ -412,10 +407,6 @@ def main(argv=None):
             with open(args.request, "r", encoding="utf-8") as fh:
                 text = fh.read()
         req = parse_request(text)
-        if args.tolerance is not None:
-            if not _is_tolerance(args.tolerance):
-                raise SchemaError("--tolerance: must be a positive finite number")
-            req.tolerance = args.tolerance
         if args.format is not None:
             req.out_format = args.format
         rep = run_request(req)

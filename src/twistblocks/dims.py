@@ -4,7 +4,6 @@ factorization recursion."""
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,11 @@ from .util import memo
 _WEIGHTSUM_DIM_CAP = 4000
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    value: int
-    residual: float = 0.0     # every value is exact
-
-
-def _finalize(value, context, allow_negative=False):
-    if value < 0 and not allow_negative:
+def _dimension(value, context):
+    """A dimension is never negative: one that is refutes its computation."""
+    if value < 0:
         raise IntegralityError(f"{context}: negative dimension {value}")
-    return DimensionResult(value)
+    return value
 
 
 # -- the primes p = 1 (mod n) --------------------------------------------
@@ -268,7 +262,7 @@ def classical_verlinde(rd, c, g, weights):
                     for i, w in enumerate(weights))
     if g == 0 and len(weights) < 3:
         raise UnstableInput("genus 0 needs at least three insertions")
-    return _finalize(_classical_sum(tw, c, g, weights), f"classical N_{g}{weights}")
+    return _dimension(_classical_sum(tw, c, g, weights), f"classical N_{g}{weights}")
 
 
 def twisted_three_point(twist, c, lam, mu, nu):
@@ -278,7 +272,7 @@ def twisted_three_point(twist, c, lam, mu, nu):
     table = _table(twist, c)
     value = _point_sum(table, ((table.enum.order_Tsigma, -1),), fixed=(lam, mu),
                        ambient=(nu,), a=1)
-    return _finalize(value, f"N(sigma;{lam},{mu},{nu})")
+    return _dimension(value, f"N(sigma;{lam},{mu},{nu})")
 
 
 def fusion_coefficient(twist, c, lam, mu, eta):
@@ -296,9 +290,8 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     # eta* = eta: weight_alphabet checks that once for all of D_{c,sigma}
     eta = _check_twisted(twist, c, eta, "eta")
     table = _table(twist, c)
-    value = _point_sum(table, ((table.enum.order_Tsigma, -1),), fixed=(lam, mu, eta),
-                       a=1)
-    return _finalize(value, f"c^{eta}_{lam},{mu}", allow_negative=True)
+    return _point_sum(table, ((table.enum.order_Tsigma, -1),), fixed=(lam, mu, eta),
+                      a=1)
 
 
 def _check_curve(twist, c, genus_bar, lambda_dagger, mu):
@@ -339,13 +332,13 @@ def general_dimension(twist, c, genus_bar, lambda_dagger, mu):
         # degenerates to the classical sum over the full regular-class set
         value = _classical_sum(build_twist(twist.ambient, "identity"), c,
                                genus_bar, mus)
-        return _finalize(value, f"N_({genus_bar},a=0){mus}")
+        return _dimension(value, f"N_({genus_bar},a=0){mus}")
     table = _table(twist, c)
     dexp = genus_bar - 1 + a
     enum = table.enum
     value = _point_sum(table, ((enum.order_T, dexp), (enum.order_Tsigma, -a)),
                        fixed=lams, ambient=mus, a=a, dexp=dexp)
-    return _finalize(value, f"N_({genus_bar},a={a}){lams}{mus}")
+    return _dimension(value, f"N_({genus_bar},a={a}){lams}{mus}")
 
 
 def factorized_dimension(twist, c, genus_bar, lambda_dagger, mu):
@@ -359,11 +352,11 @@ def factorized_dimension(twist, c, genus_bar, lambda_dagger, mu):
     """
     a, lams, mus = _check_curve(twist, c, genus_bar, lambda_dagger, mu)
     dc = ambient_alphabet(twist, c)
-    glued = [[(twisted_three_point(twist, c, lams[2 * k], lams[2 * k + 1], nu).value,
+    glued = [[(twisted_three_point(twist, c, lams[2 * k], lams[2 * k + 1], nu),
                twist.ambient.dual_weight(nu)) for nu in dc] for k in range(a)]
     value = _classical_sum(build_twist(twist.ambient, "identity"), c, genus_bar,
                            mus, glued)
-    return _finalize(value, f"factorized N_({genus_bar},a={a}){lams}{mus}")
+    return _dimension(value, f"factorized N_({genus_bar},a={a}){lams}{mus}")
 
 
 def riemann_hurwitz_genus(order_gamma, genus_bar, stabilizer_orders):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,6 @@ from twistblocks import (SchemaError, UnsupportedCombination, UnsupportedType,
                          weight_alphabet)
 from twistblocks.cli import Report, Row, emit_report, main, parse_request, run_request
 from twistblocks import dims
-from twistblocks.dims import DimensionResult
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -143,7 +143,7 @@ def test_emit_header_only_table():
 
 
 def _fields(row):
-    return row.inputs(), row.value, row.residual, row.value_kac_walton
+    return row.inputs(), row.value, row.value_kac_walton
 
 
 def test_structured_round_trip():
@@ -152,7 +152,7 @@ def test_structured_round_trip():
     doc = json.loads(text)
     assert all(r["agree"] == (r["value_kac_walton"] == r["value"]) for r in doc["results"])
     rows = tuple(Row(tuple(r["inputs"]), tuple(r["inputs"].values()), r["value"],
-                     r["residual"], r["value_kac_walton"]) for r in doc["results"])
+                     r["value_kac_walton"]) for r in doc["results"])
     back = Report(version=doc["version"], request=doc["request"],
                   pipelines=tuple(doc["pipelines"]), results=rows,
                   agreement=doc["agreement"], timing=doc["timing"])
@@ -179,14 +179,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(make_request()))
     assert main([str(path), "--format", "structured"]) == 0
     capsys.readouterr()
-
-    # every value is exact, with residual 0.0: any positive tolerance passes
-    assert main([str(path), "--tolerance", "1e-30"]) == 0
-    capsys.readouterr()
-    # the flag obeys the same rule as options.tolerance
-    for tol in ("-1", "nan", "inf"):
-        assert main([str(path), "--tolerance", tol]) == 2
-        capsys.readouterr()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -220,11 +212,17 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad.write_text(json.dumps(make_request(**three)))
     assert main([str(bad)]) == 0     # the same request with integers passes
     capsys.readouterr()
-    # there is no --threads flag
-    with pytest.raises(SystemExit) as stop:
-        main([str(path), "--threads", "3"])
-    assert stop.value.code == 2
-    capsys.readouterr()
+    # there is no --threads flag, nor a --tolerance flag: every value is exact
+    for flag, arg in (("--threads", "3"), ("--tolerance", "1e-3")):
+        with pytest.raises(SystemExit) as stop:
+            main([str(path), flag, arg])
+        assert stop.value.code == 2
+        capsys.readouterr()
+    # options.tolerance is schema 1's: validated above, echoed, and judging nothing
+    bad.write_text(json.dumps(make_request(options={"tolerance": 1e-3,
+                                                    "format": "structured"})))
+    assert main([str(bad)]) == 0
+    assert '"tolerance": 0.001' in capsys.readouterr().out
 
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make_request())))
     assert main(["-"]) == 0
@@ -232,27 +230,35 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "agreement: True" in out
 
 
-def _three_point_file(tmp_path, monkeypatch, residual):
-    """A three_point request whose pipeline returns 3 with the given residual."""
-    monkeypatch.setattr("twistblocks.cli.twisted_three_point",
-                        lambda *args: DimensionResult(3, residual))
-    path = tmp_path / "three.json"
-    path.write_text(json.dumps(make_request(
-        computation="three_point",
-        weights={"twisted": [[1, 0], [1, 0]], "ambient": [[0, 1, 0]]})))
-    return str(path)
+def _kac_walton_off_by_one_at(row):
+    """kac_walton_dimension with the given crosscheck row's value off by one."""
+    calls = itertools.count()
+
+    def kac_walton(*args):
+        value, ledger = kac_walton_dimension(*args)
+        return value + (next(calls) == row), ledger
+    return kac_walton
 
 
-def test_residual_above_default_tolerance_exits_1(tmp_path, capsys, monkeypatch):
-    path = _three_point_file(tmp_path, monkeypatch, 1.4e-5)
-    assert main([path, "--format", "structured"]) == 1
-    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == 3
-
-
-def test_request_tolerance_judges_the_residual(tmp_path, capsys, monkeypatch):
-    path = _three_point_file(tmp_path, monkeypatch, 1.4e-5)
-    assert main([path, "--tolerance", "1e-3"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("out_format", ("structured", "table"))
+def test_disagreement_exits_1_with_the_whole_report(out_format, capsys, monkeypatch):
+    monkeypatch.setattr("twistblocks.cli.kac_walton_dimension", _kac_walton_off_by_one_at(7))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make_request())))
+    assert main(["-", "--format", out_format]) == 1
+    out, err = capsys.readouterr()
+    assert "error:" not in err
+    if out_format == "structured":
+        doc = json.loads(out)
+        assert doc["agreement"] is False
+        assert len(doc["results"]) == 16      # (A3, diagram2) c=1: 2 * 2 * 4 rows
+        assert [i for i, r in enumerate(doc["results"]) if not r["agree"]] == [7]
+        row = doc["results"][7]
+        assert row["value_kac_walton"] == row["value"] + 1
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 1 + 16 + 2       # header, rows, agreement, elapsed
+        assert lines[8].endswith("False") and lines[-2] == "# agreement: False"
+        assert lines[-1].startswith("# elapsed: ")
 
 
 def test_failed_check_prime_exits_1(tmp_path, capsys, monkeypatch):
@@ -421,8 +427,9 @@ def _expected_rows(doc):
     wt = [tuple(w) for w in weights.get("twisted", [])]
     wa = [tuple(w) for w in weights.get("ambient", [])]
 
-    def row(inputs, res):
-        return {"inputs": inputs, "value": res.value, "residual": res.residual}
+    def row(inputs, value):
+        # schema 1's residual: 0.0 for every exact value
+        return {"inputs": inputs, "value": value, "residual": 0.0}
 
     if comp == "classical":
         return [row({"genus": g, "weights": weights["ambient"]},
@@ -448,7 +455,7 @@ def _expected_rows(doc):
                 res = twisted_three_point(twist, c, a, b, n)
                 kw, _ = kac_walton_dimension(twist, c, a, b, n)
                 rows.append(row({"lambda": list(a), "mu": list(b), "nu": list(n)}, res)
-                            | {"value_kac_walton": kw, "agree": kw == res.value})
+                            | {"value_kac_walton": kw, "agree": kw == res})
     return rows
 
 
@@ -496,14 +503,14 @@ def test_each_record_equals_its_written_row(doc):
     written = json.loads(emit_report(rep, "structured"))["results"]
     assert len(written) == len(rep.results)
     for rec, row in zip(rep.results, written):
-        want = {"inputs": rec.inputs(), "value": rec.value, "residual": rec.residual}
+        want = {"inputs": rec.inputs(), "value": rec.value, "residual": 0.0}
         if doc["computation"] == "crosscheck":
             want.update(value_kac_walton=rec.value_kac_walton,
                         agree=rec.value_kac_walton == rec.value)
         else:
             assert rec.value_kac_walton is None
         assert row == want
-        assert type(rec.value) is int and type(rec.residual) is float
+        assert type(rec.value) is int
 
 
 @pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])
@@ -546,13 +553,13 @@ def test_field_the_computation_does_not_read_exits_2(doc, field, capsys, monkeyp
     assert "does not read" in err
 
 
-def _row(i, value, residual):
+def _row(i, value):
     """A record and, built apart from it, the dict it must be written as;
     the odd rows disagree."""
     inputs = {"lambda": [i, -i], "mu": [], "eta": [[0], {}]}
     kw = value + i % 2
-    return (Row(tuple(inputs), tuple(inputs.values()), value, residual, kw),
-            {"inputs": inputs, "value": value, "residual": residual,
+    return (Row(tuple(inputs), tuple(inputs.values()), value, kw),
+            {"inputs": inputs, "value": value, "residual": 0.0,
              "value_kac_walton": kw, "agree": i % 2 == 0})
 
 
@@ -576,10 +583,10 @@ def _table_oracle(rows, agreement, footer):
 def test_structured_writer_edge_values(agreement):
     floats = (0.0, -0.0, 5e-324, 1e300, 1.4e-5, 0.1, float("nan"),
               float("inf"), float("-inf"))
-    rows = [_row(i, (-1) ** i * 10 ** (i % 25), floats[i % len(floats)])
-            for i in range(3000)]
+    rows = [_row(i, (-1) ** i * 10 ** (i % 25)) for i in range(3000)]
     request = {"algebra": {"type": "A\"\\\u00e9\t", "rank": 3},
-               "weights": {"twisted": [], "ambient": [[0, -1]]}, "options": {}}
+               "weights": {"twisted": [], "ambient": [[0, -1]]},
+               "options": {}, "floats": list(floats)}
     for results in (rows, rows[:5], []):
         rep = Report(version=1, request=request, pipelines=("twisted_verlinde",),
                      results=tuple(rec for rec, _ in results), agreement=agreement,

@@ -36,9 +36,9 @@ NONTRIVIAL_ROWS = [row for row in STANDARD_ROWS]
 # -- classical formula -------------------------------------------------------
 
 def test_classical_sl2_examples():
-    assert classical_verlinde(A1, 1, 0, [(1,), (1,), (0,)]).value == 1
-    assert classical_verlinde(A1, 1, 0, [(1,), (1,), (1,)]).value == 0
-    assert classical_verlinde(A1, 1, 0, [(0,), (0,), (0,)]).value == 1
+    assert classical_verlinde(A1, 1, 0, [(1,), (1,), (0,)]) == 1
+    assert classical_verlinde(A1, 1, 0, [(1,), (1,), (1,)]) == 0
+    assert classical_verlinde(A1, 1, 0, [(0,), (0,), (0,)]) == 1
 
 
 def test_classical_matches_sl2_oracle():
@@ -49,7 +49,7 @@ def test_classical_matches_sl2_oracle():
                 if g == 0 and s < 3:
                     continue
                 for combo in itertools.combinations_with_replacement(weights, s):
-                    got = classical_verlinde(A1, c, g, combo).value
+                    got = classical_verlinde(A1, c, g, combo)
                     want = sl2_verlinde(c, g, [w[0] for w in combo])
                     assert got == want, (c, g, combo)
 
@@ -57,7 +57,7 @@ def test_classical_matches_sl2_oracle():
 def test_classical_vacuum_and_errors():
     for rd in (A1, build_root_datum("A", 2), build_root_datum("C", 2)):
         z = tuple([0] * rd.rank)
-        assert classical_verlinde(rd, 1, 0, [z, z, z]).value == 1
+        assert classical_verlinde(rd, 1, 0, [z, z, z]) == 1
     with pytest.raises(UnstableInput):
         classical_verlinde(A1, 1, 0, [(1,), (1,)])
     with pytest.raises(NotInAlphabet):
@@ -69,7 +69,7 @@ def test_classical_genus_one_counts_alphabet():
     for rd in (A1, build_root_datum("A", 2), build_root_datum("G", 2)):
         data = build_twist(rd, "identity")
         for c in (1, 2):
-            assert classical_verlinde(rd, c, 1, []).value == \
+            assert classical_verlinde(rd, c, 1, []) == \
                 len(weight_alphabet(data, c))
 
 
@@ -111,7 +111,7 @@ def test_twisted_orthogonality_c0_is_delta():
             for lam in alphabet:
                 for mu in alphabet:
                     z = tuple([0] * data.fixed.rank)
-                    got = fusion_coefficient(data, c, lam, mu, z).value
+                    got = fusion_coefficient(data, c, lam, mu, z)
                     assert got == (1 if lam == mu else 0), (t, r, kind, c, lam, mu)
 
 
@@ -123,8 +123,8 @@ def test_three_point_vacuum_is_one():
         z = tuple([0] * data.fixed.rank)
         za = tuple([0] * r)
         res = twisted_three_point(data, 1, z, z, za)
-        assert res.value == 1
-        assert res.residual < 1e-10
+        assert res == 1
+        assert type(res) is int
 
 
 def test_three_point_vacuum_nu_gives_delta():
@@ -135,7 +135,7 @@ def test_three_point_vacuum_nu_gives_delta():
             alphabet = weight_alphabet(data, c).members
             for lam in alphabet:
                 for mu in alphabet:
-                    got = twisted_three_point(data, c, lam, mu, za).value
+                    got = twisted_three_point(data, c, lam, mu, za)
                     assert got == (1 if lam == mu else 0)
 
 
@@ -148,8 +148,8 @@ def test_three_point_symmetric_in_lam_mu():
         for lam in alphabet:
             for mu in alphabet:
                 for nu in amb[:4]:
-                    a = twisted_three_point(data, c, lam, mu, nu).value
-                    b = twisted_three_point(data, c, mu, lam, nu).value
+                    a = twisted_three_point(data, c, lam, mu, nu)
+                    b = twisted_three_point(data, c, mu, lam, nu)
                     assert a == b
 
 
@@ -173,7 +173,7 @@ def test_fusion_unit_law():
         z = tuple([0] * data.fixed.rank)
         for lam in weight_alphabet(data, c):
             for eta in weight_alphabet(data, c):
-                got = fusion_coefficient(data, c, lam, z, eta).value
+                got = fusion_coefficient(data, c, lam, z, eta)
                 assert got == (1 if lam == eta else 0)
 
 
@@ -189,8 +189,8 @@ def test_fusion_symmetry_and_integrality():
                 for eta in alphabet:
                     res = fusion_coefficient(data, c, lam, mu, eta)
                     res2 = fusion_coefficient(data, c, mu, lam, eta)
-                    assert res.value == res2.value
-                    assert res.residual < 1e-5
+                    assert res == res2
+                    assert type(res) is int
 
 
 def test_fusion_nonnegative_at_level_one():
@@ -200,7 +200,7 @@ def test_fusion_nonnegative_at_level_one():
         for lam in alphabet:
             for mu in alphabet:
                 for eta in alphabet:
-                    assert fusion_coefficient(data, 1, lam, mu, eta).value >= 0
+                    assert fusion_coefficient(data, 1, lam, mu, eta) >= 0
 
 
 def test_fusion_associativity_exhaustive_level_one():
@@ -210,7 +210,7 @@ def test_fusion_associativity_exhaustive_level_one():
         alphabet = weight_alphabet(data, c).members
 
         def coeff(a, b, e):
-            return fusion_coefficient(data, c, a, b, e).value
+            return fusion_coefficient(data, c, a, b, e)
 
         for lam in alphabet:
             for mu in alphabet:
@@ -227,7 +227,7 @@ def test_fusion_associativity_exhaustive_level_one():
 
 def test_general_genus_one_example():
     data = tw("A", 1, "identity")
-    assert general_dimension(data, 1, 1, (), ()).value == 2
+    assert general_dimension(data, 1, 1, (), ()) == 2
 
 
 def test_general_reduces_to_classical():
@@ -238,15 +238,15 @@ def test_general_reduces_to_classical():
         dc = ambient_alphabet(data, c)
         for g in (0, 1, 2):
             for mus in itertools.combinations_with_replacement(dc[:3], 3):
-                assert general_dimension(data, c, g, (), mus).value == \
-                    classical_verlinde(rd, c, g, mus).value
+                assert general_dimension(data, c, g, (), mus) == \
+                    classical_verlinde(rd, c, g, mus)
 
 
 def test_general_two_point_cover_is_delta():
     data = tw("A", 3, "diagram2")
     for lam in weight_alphabet(data, 1):
         for mu in weight_alphabet(data, 1):
-            assert general_dimension(data, 1, 0, (lam, mu), ()).value == \
+            assert general_dimension(data, 1, 0, (lam, mu), ()) == \
                 (1 if lam == mu else 0)
 
 
@@ -267,8 +267,8 @@ def test_factorization_identity_grid():
                 for lams in lam_pool[:6] + lam_pool[-2:]:
                     for mus in ([], [amb[-1]]):
                         args = (data, c, gbar, lams, tuple(mus))
-                        assert general_dimension(*args).value == \
-                            factorized_dimension(*args).value, (t, r, kind, c,
+                        assert general_dimension(*args) == \
+                            factorized_dimension(*args), (t, r, kind, c,
                                                                 gbar, lams, mus)
 
 
@@ -278,29 +278,17 @@ def test_factorization_four_pairs():
     args = (tw("A", 4, "standard4"), 3, 0,
             ((0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (1, 0)),
             ((0, 0, 0, 3),))
-    assert general_dimension(*args).value == factorized_dimension(*args).value \
+    assert general_dimension(*args) == factorized_dimension(*args) \
         == 1120000
-
-
-def test_factorized_residual_covers_its_inputs():
-    # the three-point numbers glued into the sum are exact integers, like
-    # the sum itself, so the reported residual is 0.0, as are theirs
-    for t, r, kind in (("A", 3, "diagram2"), ("D", 4, "diagram3")):
-        data = tw(t, r, kind)
-        lam = weight_alphabet(data, 2).members[-1]
-        inputs = [twisted_three_point(data, 2, lam, lam, nu).residual
-                  for nu in ambient_alphabet(data, 2)]
-        assert factorized_dimension(data, 2, 1, (lam, lam), ()).residual \
-            == max(inputs) == 0.0
 
 
 def test_factorized_empty_product_is_classical():
     data = tw("A", 3, "diagram2")
     args = (data, 1, 1, (), ((1, 0, 0),))
     rd = data.ambient
-    assert factorized_dimension(*args).value == \
-        classical_verlinde(rd, 1, 1, [(1, 0, 0)]).value
-    assert general_dimension(*args).value == factorized_dimension(*args).value
+    assert factorized_dimension(*args) == \
+        classical_verlinde(rd, 1, 1, [(1, 0, 0)])
+    assert general_dimension(*args) == factorized_dimension(*args)
 
 
 def test_curve_request_stability():
@@ -319,34 +307,33 @@ def test_dimension_results_are_clean_integers():
     for lam in alphabet:
         for nu in amb[:5]:
             res = twisted_three_point(data, c, lam, lam, nu)
-            assert type(res.value) is int and res.value >= 0
-            assert res.residual == 0.0
+            assert type(res) is int and res >= 0
 
 
 def test_sums_past_the_float_range_are_exact():
     # |T_c|^{g-1} = 6^599 and, at level 10, a term Delta^{-599} are far past
     # the float range; the lift from about 20 primes is exact there
-    assert classical_verlinde(A1, 1, 600, []).value == 2 ** 600
-    assert classical_verlinde(A1, 10, 600, []).value == sl2_verlinde(10, 600, [])
+    assert classical_verlinde(A1, 1, 600, []) == 2 ** 600
+    assert classical_verlinde(A1, 10, 600, []) == sl2_verlinde(10, 600, [])
     data = tw("A", 3, "diagram2")
     for lam in ((), ((0, 0), (0, 0))):
-        assert general_dimension(data, 2, 300, lam, ()).value == \
-            factorized_dimension(data, 2, 300, lam, ()).value > 2 ** 1024
+        assert general_dimension(data, 2, 300, lam, ()) == \
+            factorized_dimension(data, 2, 300, lam, ()) > 2 ** 1024
 
 
 @pytest.mark.parametrize("formula", [general_dimension, factorized_dimension])
 def test_d4_triality_genus_two_curve_is_an_integer(formula):
     res = formula(tw("D", 4, "diagram3"), 3, 2, ((0, 1),) + ((0, 0),) * 5,
                   ((0, 0, 1, 2),))
-    assert res.value == 352346112
-    assert res.residual == 0.0
+    assert res == 352346112
+    assert type(res) is int
 
 
 def test_g2_level_120_genus_one_is_an_integer():
     # 3721 points, some with Weyl denominators of size about 1e-5
     res = classical_verlinde(build_root_datum("G", 2), 120, 1, [(1, 0), (0, 1), (1, 1)])
-    assert res.value == 987200
-    assert res.residual == 0.0
+    assert res == 987200
+    assert type(res) is int
 
 
 def test_classical_a1_matches_sl2_oracle_at_high_genus():
@@ -358,9 +345,9 @@ def test_classical_a1_matches_sl2_oracle_at_high_genus():
         c = rng.randint(1, 20)
         draws.append((c, rng.randint(0, 10), tuple(rng.randint(0, c) for _ in range(3))))
     for c, g, ws in draws:
-        got = classical_verlinde(A1, c, g, [(w,) for w in ws]).value
+        got = classical_verlinde(A1, c, g, [(w,) for w in ws])
         assert got == sl2_verlinde(c, g, list(ws)), (c, g, ws)
-    assert classical_verlinde(A1, 10, 8, [(3,), (9,), (5,)]).value == 0
+    assert classical_verlinde(A1, 10, 8, [(3,), (9,), (5,)]) == 0
 
 
 def test_moduli_are_primes_with_an_element_of_exact_order_n():
@@ -391,7 +378,7 @@ def test_a_lift_one_prime_short_fails_the_check_prime(monkeypatch):
     with pytest.raises(IntegralityError, match="check prime"):
         classical_verlinde(A1, 1, 600, [])
     monkeypatch.undo()
-    assert classical_verlinde(A1, 1, 600, []).value == 2 ** 600
+    assert classical_verlinde(A1, 1, 600, []) == 2 ** 600
 
 
 def test_lattice_factor_is_the_exact_rational():

@@ -48,7 +48,7 @@ def test_exhaustive_agreement_with_verlinde_table():
                 for nu in amb:
                     r3 = (data, c, lam, mu, nu)
                     assert kac_walton_dimension(*r3)[0] == \
-                        twisted_three_point(*r3).value, (t, r, kind, c, lam, mu, nu)
+                        twisted_three_point(*r3), (t, r, kind, c, lam, mu, nu)
 
 
 def test_lam_mu_swap_symmetry():
