@@ -97,6 +97,12 @@ def parse_request(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"request is not valid JSON: {exc}") from None
+    except ValueError:
+        # an integer literal longer than Python's limit for int-str
+        # conversion (3.10.7+, 3.11+), which main lifts only once the
+        # request is parsed
+        raise SchemaError("request holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise SchemaError("request must be a JSON object")
 
@@ -216,8 +222,8 @@ class Row:
 
     Input k, named names[k], refers to a value the rows share (one list per
     alphabet member, built once); the slots past len(names) hold None.
-    value_kac_walton is None outside a crosscheck.  as_doc, json's default
-    hook, builds the row's dict, which lives only while the encoder writes it.
+    value_kac_walton is None outside a crosscheck.  as_doc builds the row's
+    dict, which lives only while the encoder writes it.
     """
     __slots__ = ("names", "in0", "in1", "in2", "in3", "value", "value_kac_walton")
 
@@ -303,12 +309,21 @@ def report_ok(rep, tolerance):
     return rep.agreement is not False
 
 
+class _Rows(list):
+    """A report's rows as json's encoder reads them: iterating yields each
+    Row's dict, built as the encoder comes to it and dropped once written."""
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(Row.as_doc, super().__iter__())
+
+
 # with indent set, json encodes through its pure-Python iterencode, which
 # yields the document in small pieces: json.dumps' bytes, never held whole.
-# Each Row reaches the default hook, and its dict lives only while it is
-# written.  A report is a tree of containers that only share leaf lists, so
-# the cycle check (a third of the encoding time) is skipped; it changes no
-# byte
+# It iterates a list, so _Rows hands it each row's dict directly; a Row
+# that reaches it otherwise goes through the default hook.  A report is a
+# tree of containers that only share leaf lists, so the cycle check (a third
+# of the encoding time) is skipped; it changes no byte
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False,
                             default=Row.as_doc)
 
@@ -317,7 +332,7 @@ def _structured_parts(rep):
     """The structured report, json.dumps(doc, sort_keys=True, indent=2) + "\n"
     byte for byte with each Row written as its dict, as consecutive strings."""
     doc = {"version": rep.version, "request": rep.request,
-           "pipelines": rep.pipelines, "results": rep.results,
+           "pipelines": rep.pipelines, "results": _Rows(rep.results),
            "agreement": rep.agreement, "timing": None}
     yield from _ENCODER.iterencode(doc)
     yield "\n"
@@ -399,7 +414,19 @@ def main(argv=None):
     ap.add_argument("request", help="request file, or - for stdin")
     ap.add_argument("--format", choices=("table", "structured"), default=None)
     args = ap.parse_args(argv)
+    # Python's limit on int-str conversion (3.10.7+, 3.11+) bounds the
+    # integers of a request; an answer can be longer, and is written whole
+    # with the limit lifted, until main returns
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else None)
+    try:
+        return _answer(args, limit is not None)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
+
+def _answer(args, lift_digit_limit):
     try:
         if args.request == "-":
             text = sys.stdin.read()
@@ -409,6 +436,8 @@ def main(argv=None):
         req = parse_request(text)
         if args.format is not None:
             req.out_format = args.format
+        if lift_digit_limit:
+            sys.set_int_max_str_digits(0)
         rep = run_request(req)
     except IntegralityError as exc:
         # a numerical failure of a pipeline, not a bad request

@@ -30,10 +30,21 @@ _SUPPORTED = {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (3, 6),
               "E": (6, 6), "F": (4, 4), "G": (2, 2)}
 
 # entries in one orbit chunk (rows x rank) and in one _phase_sums block (rows
-# x points): their int64 and float64 arrays stay at 256 KiB each
-_PHASE_BLOCK = 1 << 15
-# a point's phase range, in rows, past which _phase_sums reduces mod den
+# x points).  Each staging array of a character sum (the chunk, its float64
+# copy, the weights of a block, its phases) is at most 64 KiB: below glibc's
+# 128 KiB mmap threshold, so it comes from the heap and its memory is reused
+# from chunk to chunk, where a larger one would be mapped and unmapped (or,
+# once the threshold has moved, fragment the heap) in a pattern that depends
+# on the process's earlier allocations
+_PHASE_BLOCK = 1 << 13
+# the longest phase range of a block, in rows, past which _phase_sums reduces
+# the block mod den
 _SPAN_PER_ROW = 8
+
+
+def _chunk_rows(rank):
+    """Rows of rank entries in one chunk of _PHASE_BLOCK entries."""
+    return max(1, _PHASE_BLOCK // rank)
 
 
 def _cartan_matrix(lie_type, rank):
@@ -256,10 +267,10 @@ class RootDatum:
         signs, as a stream of (rows int64, signs int8) chunks.
 
         The first row is vec, and the rows come layer by layer in the length
-        of w in w.vec.  A chunk is one or more whole layers, or one slice of a
-        layer too large for the budget: at most _PHASE_BLOCK entries either
-        way.  Besides the chunk handed out, only the layer being replayed,
-        the one before it and the small layers waiting for a chunk are held.
+        of w in w.vec.  Every chunk but the last holds _PHASE_BLOCK // rank
+        rows, cut from consecutive layers; a chunk inside one layer is a view
+        of it.  Besides the chunk handed out, only the layer being replayed,
+        the one before it and the pieces waiting for a chunk are held.
 
         Each step of the walk of a regular dominant x applies s_i to rows
         w.x with <w.x, alpha_i^vee> > 0 and keeps an image whose first
@@ -271,23 +282,27 @@ class RootDatum:
         vec = tuple(int(x) for x in vec)
         if min(vec) <= 0:
             raise ValueError("a Weyl orbit stream needs a strictly dominant vector")
-        cap = max(1, _PHASE_BLOCK // self.rank)     # rows per chunk
-        held = []                   # (layer, signs) of small layers for one chunk
+        cap = _chunk_rows(self.rank)
+        held = []                   # (rows, sign) pieces of the next chunk
+        size = 0
 
         def merged():
-            chunk = np.vstack([x for x, _ in held]), np.concatenate([s for _, s in held])
+            pieces, signs = zip(*held)
+            rows = pieces[0] if len(pieces) == 1 else np.vstack(pieces)
+            signs = np.repeat(np.array(signs, dtype=np.int8), [len(x) for x in pieces])
             held.clear()            # before the chunk is handed out
-            return chunk
+            return rows, signs
 
         for k, layer in enumerate(self._replay(vec)):
-            if held and sum(len(x) for x, _ in held) + len(layer) > cap:
-                yield merged()
-            signs = np.full(min(len(layer), cap), 1 - 2 * (k & 1), dtype=np.int8)
-            if len(layer) > cap:
-                for s in range(0, len(layer), cap):
-                    yield layer[s:s + cap], signs[:len(layer) - s]
-            else:
-                held.append((layer, signs))
+            s = 0
+            while s < len(layer):
+                piece = layer[s:s + cap - size]
+                held.append((piece, 1 - 2 * (k & 1)))
+                size += len(piece)
+                s += len(piece)
+                if size == cap:
+                    yield merged()
+                    size = 0
         if held:
             yield merged()
 
@@ -504,7 +519,11 @@ class RootDatum:
         """
         self._require_dominant(lam)
         if method == "weights":
-            return _phase_sums([self._weight_arrays(lam)], ys, self._reach(lam))
+            vecs, mults = self._weight_arrays(lam)
+            cap = _chunk_rows(self.rank)
+            return _phase_sums(((vecs[s:s + cap], mults[s:s + cap])
+                                for s in range(0, len(vecs), cap)),
+                               ys, self._reach(lam))
         lr = tuple(x + 1 for x in lam)
         return _phase_sums(self._orbit_chunks(lr), ys, self._reach(lr))
 
@@ -523,62 +542,80 @@ def _phase_sums(chunks, ys, reach):
     weights[j] over the rows j of the (rows, weights) chunks with
     rows[j] . y.num = r (mod y.den); no row entry is above reach in size.
 
-    Per chunk and block of points, one float64 matrix product gives the
-    integer phases, exact because the guard below keeps them under 2^53.
-    Per point, the phases are shifted by a multiple of y.den to start in
-    [0, y.den), one bincount sums the weights per phase, and summing its
-    rows of y.den folds them onto the residues; where that range is more
-    than _SPAN_PER_ROW times the rows, the phases are reduced mod y.den
-    first, so memory follows the rows, not the weight.
+    The points are taken in blocks of one denominator den, at most
+    _PHASE_BLOCK phases a block, and each block costs the same few numpy
+    calls however many points it holds.  One float64 matrix product gives
+    its integer phases, exact because the guard below keeps them under
+    2^53.  Point k's phases are shifted by a multiple of den to start in
+    [k n, k n + den), for n the longest range of the block rounded up to a
+    multiple of den; one bincount then sums the weights per phase, and one
+    reshape-sum folds each point's n entries onto its den residues.  Where
+    n is more than _SPAN_PER_ROW times the chunk's rows (a huge weight), the
+    phases are reduced mod den first, so memory follows the rows, not the
+    weight.
     """
     if not ys:
         return []
     dens = np.array([y.den for y in ys], dtype=np.int64)
-    # with y.num reduced mod den, each of the rank terms of a phase is below
-    # den * reach in size
+    # with y.num reduced mod den into [-den/2, den/2), each of the rank terms
+    # of a phase is below den * reach in size, and the phases of a chunk
+    # spread over about half the range they would from [0, den)
     if len(ys[0].num) * int(dens.max()) * reach >= 1 << 53:
         raise IntegralityError("torus-point phases reach 2^53: float64 "
                                "products would not be exact")
-    nums = np.array([[x % y.den for x in y.num] for y in ys], dtype=np.float64)
-    starts = np.cumsum(dens) - dens     # each point's residues in counts
-    counts = np.zeros(int(dens.sum()), dtype=np.int64)
+    # per denominator: its points, their exponents and their counts
+    groups = []
+    for den in sorted(set(dens.tolist())):
+        idx = np.flatnonzero(dens == den).tolist()
+        nums = np.array([[(x + den // 2) % den - den // 2 for x in ys[k].num]
+                         for k in idx], dtype=np.float64)
+        groups.append((den, idx, nums, np.zeros((len(idx), den), dtype=np.int64)))
+    most = max(len(idx) for _, idx, _, _ in groups)
     work = {}
 
-    def scratch(name, shape, dtype=np.float64):
-        # a work array kept across chunks: a fresh one per chunk or block
-        # would be new pages each time
-        size = shape[0] * shape[1]
+    def scratch(name, size, dtype):
+        # a flat work array kept across chunks and blocks, grown as needed
         if name not in work or work[name].size < size:
             work[name] = np.empty(size, dtype)
-        return work[name][:size].reshape(shape)
+        return work[name][:size]
 
     for rows, weights in chunks:
-        rows_f = scratch("rows", rows.shape)
+        m = len(rows)
+        step = min(max(1, _PHASE_BLOCK // m), most)     # points per block
+        rows_f = scratch("rows", rows.size, np.float64).reshape(rows.shape)
         np.copyto(rows_f, rows)
-        weights = weights.astype(np.float64)
-        step = max(1, _PHASE_BLOCK // len(rows))
-        for s in range(0, len(ys), step):
-            block = nums[s:s + step]
-            shape = (len(block), len(rows))
-            phases = scratch("phases", shape, np.int64)
-            np.copyto(phases, np.matmul(block, rows_f.T, out=scratch("float", shape)),
-                      casting="unsafe")
-            d = dens[s:s + step]
-            lo = phases.min(axis=1)
-            phases -= (lo - lo % d)[:, None]
-            size = (phases.max(axis=1) // d + 1) * d
-            for k, (den, first, n) in enumerate(zip(d.tolist(), starts[s:].tolist(),
-                                                    size.tolist())):
-                if n > _SPAN_PER_ROW * len(rows):
-                    # a range far wider than the rows (a huge weight): reduce
-                    # mod den first, so the count is den long, not n
-                    raw = np.bincount(np.remainder(phases[k], den), weights=weights,
-                                      minlength=den)
-                else:
-                    raw = np.bincount(phases[k], weights=weights, minlength=n)
-                    raw = raw.reshape(-1, den).sum(axis=0)
-                counts[first:first + den] += raw.astype(np.int64)
-    return np.split(counts, starts[1:])
+        # the weights once per point of a full block
+        tiled = scratch("weights", step * m, np.float64)
+        np.copyto(tiled.reshape(step, m), weights)
+        offsets = np.arange(step)
+        for den, _, nums, counts in groups:
+            for s in range(0, len(nums), step):
+                block = nums[s:s + step]
+                p = len(block)
+                # the float64 product, converted to int64 in place: numpy
+                # copies between the same flat memory element by element,
+                # with no temporary
+                flat = scratch("phases", p * m, np.int64)
+                np.matmul(block, rows_f.T, out=flat.view(np.float64).reshape(p, m))
+                np.copyto(flat, flat.view(np.float64), casting="unsafe")
+                phases = flat.reshape(p, m)
+                lo = phases.min(axis=1)
+                lo -= lo % den
+                n = int((phases.max(axis=1) - lo).max()) // den * den + den
+                if n > _SPAN_PER_ROW * m:
+                    np.remainder(phases, den, out=phases)
+                    lo[:] = 0
+                    n = den
+                phases -= (lo - n * offsets[:p])[:, None]
+                raw = np.bincount(flat, weights=tiled[:p * m], minlength=p * n)
+                mine = counts[s:s + p]
+                np.add(mine, raw.reshape(p, -1, den).sum(axis=1), out=mine,
+                       casting="unsafe")
+    out = [None] * len(ys)
+    for _, idx, _, counts in groups:
+        for k, c in zip(idx, counts):
+            out[k] = c
+    return out
 
 
 @memo

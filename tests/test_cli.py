@@ -18,7 +18,7 @@ from twistblocks import (SchemaError, UnsupportedCombination, UnsupportedType,
                          general_dimension, kac_walton_dimension, twisted_three_point,
                          weight_alphabet)
 from twistblocks.cli import Report, Row, emit_report, main, parse_request, run_request
-from twistblocks import dims
+from twistblocks import cli, dims
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -288,6 +288,55 @@ def test_genus_600_exits_0_with_two_to_the_600():
     assert "Traceback" not in proc.stderr
 
 
+# Python's limit on int-str conversion (3.10.7+, 3.11+), if it has one
+DIGIT_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@pytest.mark.parametrize("out_format", ("structured", "table"))
+def test_answer_past_the_digit_limit_is_written_whole(out_format, capsys, monkeypatch):
+    # (A1, identity) c=1 at genus_bar 14300 is 2^14300, 4305 digits: past
+    # the default limit of 4300, which main lifts for the answer and restores
+    doc = make_request(algebra={"type": "A", "rank": 1}, twist=_IDENTITY,
+                       computation="classical", genus_bar=14300)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["-", "--format", out_format]) == 0
+    out, err = capsys.readouterr()
+    assert "error:" not in err and "Traceback" not in err
+    if DIGIT_LIMIT is not None:
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+        # a reader needs the limit lifted as well
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(2 ** 14300)
+        if out_format == "structured":
+            row, = json.loads(out)["results"]
+            assert row["value"] == 2 ** 14300
+        else:
+            lines = out.splitlines()
+            assert len(lines) == 3 and lines[1].split()[-2] == want
+            assert lines[2].startswith("# elapsed: ")
+        assert len(want) == 4305
+    finally:
+        if DIGIT_LIMIT is not None:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+
+@pytest.mark.skipif(DIGIT_LIMIT is None, reason="this Python has no int-str digit limit")
+def test_integer_field_past_the_digit_limit_exits_2(capsys, monkeypatch):
+    # a 5001-digit genus_bar is refused while the request is parsed: exit 2,
+    # one error line, no traceback and no report
+    text = json.dumps(make_request(algebra={"type": "A", "rank": 1}, twist=_IDENTITY,
+                                   computation="classical", genus_bar=0))
+    text = text.replace('"genus_bar": 0', '"genus_bar": ' + "9" * 5001)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("error:") == 1 and f"{DIGIT_LIMIT} digits" in err
+    with pytest.raises(SchemaError):
+        parse_request(text)
+
+
 
 def test_small_weyl_denominator_is_not_an_input_error(capsys, monkeypatch):
     # (G2, identity) at c=120: some |Weyl denominator| at the regular points
@@ -495,6 +544,16 @@ def test_structured_writer_matches_json(doc):
     if doc["computation"] == "crosscheck":
         assert rep.agreement is all(r["agree"] for r in rows)
     assert _first_difference(_emitted(rep, "structured"), _json_oracle(rep, rows)) is None
+
+
+def test_rows_reach_the_encoder_as_dicts(monkeypatch):
+    # the results list hands json's encoder each row's dict, so no row goes
+    # through the default hook and its two extra generator frames
+    hooked = []
+    monkeypatch.setattr(cli._ENCODER, "default", hooked.append)
+    rep = run_request(parse_request(json.dumps(make_request(level=2))))
+    emit_report(rep, "structured", io.StringIO())
+    assert hooked == [] and len(rep.results) > 1
 
 
 @pytest.mark.parametrize("doc", _KINDS, ids=[d["computation"] for d in _KINDS])

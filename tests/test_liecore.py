@@ -174,8 +174,52 @@ def test_weyl_quotient_character_peak_memory_stays_near_the_phase_block():
     finally:
         tracemalloc.stop()
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    # eight arrays of a chunk's budget of float64 or int64 entries: 2 MiB
-    assert peak < 8 * _PHASE_BLOCK * 8, peak
+    # the staging arrays of a chunk's budget, and the two replayed layers of
+    # rho's orbit (up to 3662 x 6 int64, 176 KiB each), stay below 1 MiB:
+    # under half of one materialized orbit
+    assert peak < 1 << 20, peak
+
+
+def residue_counts(multiset, ys):
+    """Per point y, the counts of the multiset {row: m} by row . y.num mod
+    y.den, each row reduced on its own: no chunk, block or shift."""
+    rows = np.array(list(multiset), dtype=np.int64)
+    mults = np.array(list(multiset.values()), dtype=np.int64)
+    out = []
+    for y in ys:
+        counts = np.zeros(y.den, dtype=np.int64)
+        np.add.at(counts, rows @ np.array(y.num, dtype=np.int64) % y.den, mults)
+        out.append(counts.tolist())
+    return out
+
+
+def test_streamed_counts_match_a_per_row_count_over_many_chunks_and_dens():
+    # E6 lam+rho: 51840 rows, many chunks of _PHASE_BLOCK entries, counted on
+    # the classical c = 2 table, whose points have two denominators
+    rd = build_root_datum("E", 6)
+    ys = enumerate_sigma_c(build_twist(rd, "identity"), 2).points
+    assert len({y.den for y in ys}) >= 2
+    lam = (1, 0, 0, 0, 0, 1)
+    lr = tuple(x + 1 for x in lam)
+    assert sum(1 for _ in rd._orbit_chunks(lr)) >= 51840 * 6 // _PHASE_BLOCK
+    got = rd.character_at_exponents(lam, ys)
+    assert [c.tolist() for c in got] == residue_counts(signed_orbit_bfs(rd.cartan, lr), ys)
+    # the weights of V(1,0,0,0,1,0): 1782 rows, more than one chunk's 1365
+    lam = (1, 0, 0, 0, 1, 0)
+    weights = rd.weight_system(lam)
+    assert len(weights) * 6 > _PHASE_BLOCK
+    got = rd.character_at_exponents(lam, ys, method="weights")
+    assert [c.tolist() for c in got] == residue_counts(weights, ys)
+
+
+def test_huge_weight_counts_match_a_per_row_count():
+    # A1 at lam = 2^49: the phases +-(lam + 1) * y.num span far more than the
+    # rows, so each block is reduced mod den before its count
+    lam = 2 ** 49
+    ys = [Exponents((1,), 6), Exponents((1,), 4), Exponents((3,), 8), Exponents((5,), 6)]
+    got = A1.character_at_exponents((lam,), ys)
+    assert [c.tolist() for c in got] == \
+        residue_counts(signed_orbit_bfs(A1.cartan, (lam + 1,)), ys)
 
 
 def test_phase_guard_refuses_phases_past_two_to_the_53():
