@@ -14,11 +14,6 @@ from .twist import (_check_ambient, _check_three_point, _check_twisted,
                     ambient_alphabet, build_twist)
 from .util import memo
 
-# ambient characters up to this dimension are weight-multiplicity sums, which
-# need no Weyl denominator; larger ones are Weyl quotients, whose orbit does
-# not grow with the representation
-_WEIGHTSUM_DIM_CAP = 4000
-
 
 def _dimension(value, context):
     """A dimension is never negative: one that is refutes its computation."""
@@ -80,14 +75,13 @@ class _Characters:
     point values every character shares, as images in F_p for the moduli of
     n: one row per prime, one column per point.  n is a multiple of every
     y.den, so e^alpha(t) = zeta_n^e with e = (alpha . y.num mod y.den) n / y.den.
-    Characters of dimension <= weight_cap are weight-multiplicity sums, the
-    rest Weyl quotients.
+    Every character is a Weyl quotient: the counts of lam+rho's alternating
+    orbit over the Weyl denominator.
     """
 
-    def __init__(self, rd, ys, weight_cap, n):
+    def __init__(self, rd, ys, n):
         self.rd = rd
         self.ys = ys
-        self.weight_cap = weight_cap
         self.n = n
         # the exponents e of every positive root and of rho at each point
         self.roots = np.array([[p % y.den * (n // y.den) for p in rd.root_pairings(y)]
@@ -121,9 +115,7 @@ class _Characters:
     @memo
     def char(self, lam, k):
         """chi_lam at each point mod the first k primes."""
-        weights = self.dim(lam) <= self.weight_cap
-        counts = self.rd.character_at_exponents(
-            lam, self.ys, method="weights" if weights else "quotient")
+        counts = self.rd.character_at_exponents(lam, self.ys)
         # sum_r c[r] zeta_den^r maps to sum_r c[r] g^(r n / den), over blocks
         # of one den's points of at most 2^15 counts per prime
         primes = _primes(self.n, k)
@@ -137,9 +129,7 @@ class _Characters:
                 sel = idx[s:s + step]
                 block = np.array([counts[j] for j in sel]) % p3
                 out[:, sel] = (block * pw[:, None] % p3).sum(axis=2) % primes
-        if not weights:
-            out = out * self.power(0, -1, k) % primes
-        return out
+        return out * self.power(0, -1, k) % primes
 
 
 class _PointTable:
@@ -155,13 +145,12 @@ class _PointTable:
         self.twist = twist
         self.enum = enumerate_sigma_c(twist, c)
         self.n = math.lcm(*(y.den for y in self.enum.points))
-        # weight_cap 0: fixed characters are always Weyl quotients
-        self.fixed = _Characters(twist.fixed, self.enum.points, 0, self.n)
+        self.fixed = _Characters(twist.fixed, self.enum.points, self.n)
 
     @functools.cached_property
     def ambient(self):
         ys = [self.twist.ambient_exponents(y) for y in self.enum.points]
-        return _Characters(self.twist.ambient, ys, _WEIGHTSUM_DIM_CAP, self.n)
+        return _Characters(self.twist.ambient, ys, self.n)
 
     @memo
     def log_mass(self, factor, a, dexp):

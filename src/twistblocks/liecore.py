@@ -310,6 +310,11 @@ class RootDatum:
         """The layers of vec's orbit, each built from the one before by the
         steps of rho's walk."""
         a = self.cartan
+        # s_i x = x - x_i alpha_i changes only the coordinates j with
+        # a[j, i] != 0: each j != i in place from column i, then x_i -> -x_i,
+        # with no temporary of the block's rows x rank
+        touched = [[(j, int(a[j, i])) for j in np.flatnonzero(a[:, i]).tolist() if j != i]
+                   for i in range(self.rank)]
         layer = np.array([vec], dtype=np.int64)
         yield layer
         for blocks in self._walk_rho():
@@ -317,8 +322,18 @@ class RootDatum:
             pos = 0
             for i, parents in blocks:
                 rows = nxt[pos:pos + len(parents)]
-                np.take(layer, parents, axis=0, out=rows)
-                rows -= np.multiply.outer(rows[:, i], a[:, i])
+                # every parent is a row of layer; mode "raise" would stage
+                # the block in a buffer before it writes out
+                np.take(layer, parents, axis=0, out=rows, mode="clip")
+                x = rows[:, i]
+                for j, aji in touched[i]:
+                    if aji == -1:
+                        rows[:, j] += x
+                    else:
+                        rows[:, j] -= aji * x
+                # not np.negative(x, out=x), which numpy 2.4.6 gets wrong on
+                # a strided int64 column
+                x *= -1
                 pos += len(parents)
             layer = nxt
             yield layer
@@ -387,16 +402,6 @@ class RootDatum:
         key = tuple(int(x) for x in weight)
         self._require_dominant(key)
         return self._weights(key)
-
-    def _weight_arrays(self, weight):
-        """The weights of V(lambda) as int64 rows, with their multiplicities
-        as an int64 vector, in the order of weight_system(lambda).  Built
-        from the cached dict on each call, so only the dict is kept."""
-        # through the public layer: it checks dominance, and it is the call
-        # bench/tracer.py counts
-        ws = self.weight_system(weight)
-        vecs = np.array(list(ws), dtype=np.int64).reshape(len(ws), self.rank)
-        return vecs, np.fromiter(ws.values(), dtype=np.int64, count=len(ws))
 
     @memo
     def _weights(self, key):
@@ -508,29 +513,22 @@ class RootDatum:
         """exp(2 pi i y-pairing) differs from 1 on every root."""
         return all(p % y.den for p in self.root_pairings(y))
 
-    def character_at_exponents(self, lam, ys, method="quotient"):
-        """Residue counts of chi_lambda at every point y of ys: one int64
-        array c of length y.den per point, for sum_r c[r] zeta^r with
-        zeta = e^{2 pi i / y.den}.
+    def character_at_exponents(self, lam, ys):
+        """Residue counts of the Weyl numerator of chi_lambda at every point
+        y of ys: one int64 array c of length y.den per point, for
+        sum_r c[r] zeta^r with zeta = e^{2 pi i / y.den}.
 
-        "weights" counts the weights of V(lam), so the sum is chi_lambda(t);
-        "quotient" counts the alternating orbit of lam+rho, so the sum is the
-        Weyl numerator chi_lambda(t) e^rho prod_{alpha>0} (1 - e^{-alpha}).
+        The counts are those of the alternating orbit of lam+rho, so the sum
+        is chi_lambda(t) e^rho prod_{alpha>0} (1 - e^{-alpha}); no weight
+        multiplicity is read.
         """
         self._require_dominant(lam)
-        if method == "weights":
-            vecs, mults = self._weight_arrays(lam)
-            cap = _chunk_rows(self.rank)
-            return _phase_sums(((vecs[s:s + cap], mults[s:s + cap])
-                                for s in range(0, len(vecs), cap)),
-                               ys, self._reach(lam))
         lr = tuple(x + 1 for x in lam)
         return _phase_sums(self._orbit_chunks(lr), ys, self._reach(lr))
 
     def _reach(self, v):
         """max <v, beta^vee> over the positive coroots, for dominant v: no
-        coordinate of a weight in W.v, or of a weight of V(v), is larger in
-        size."""
+        coordinate of a weight in W.v is larger in size."""
         return max(sum(map(operator.mul, cv, v)) for cv in self.coroot_pairings.tolist())
 
     def __repr__(self):

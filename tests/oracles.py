@@ -6,7 +6,10 @@ normal form, the twisted level marks are a frozen table, Weyl orbits,
 root systems and coroots come from set-based searches that use only the
 Cartan matrix, type-A weight multiplicities are Kostka numbers counted on
 semistandard tableaux, rational linear algebra is sympy's, and character
-values are folded from residue counts at numpy's roots of unity.
+values are folded from residue counts at numpy's roots of unity.  The
+weight-sum reference counts a {weight: multiplicity} dict row by row; the
+tests pass it the Freudenthal dicts of weight_system, which no point sum
+reads, so it checks the Weyl-quotient characters by a second route.
 """
 
 import functools
@@ -265,6 +268,25 @@ def fold_counts(counts, ys):
     """sum_r c[r] e^{2 pi i r / y.den} for the residue counts c of each point y."""
     return [complex(np.dot(c, np.exp(2j * np.pi * np.arange(y.den) / y.den)))
             for c, y in zip(counts, ys)]
+
+
+def residue_counts(multiset, ys):
+    """Per point y, the counts of the multiset {row: m} by row . y.num mod
+    y.den, each row reduced on its own: no chunk, block or shift."""
+    rows = np.array(list(multiset), dtype=np.int64)
+    mults = np.array(list(multiset.values()), dtype=np.int64)
+    out = []
+    for y in ys:
+        counts = np.zeros(y.den, dtype=np.int64)
+        np.add.at(counts, rows @ np.array(y.num, dtype=np.int64) % y.den, mults)
+        out.append(counts.tolist())
+    return out
+
+
+def weight_sum(weights, ys):
+    """The character sum_mu m e^mu of the weight dict {mu: m} at each point
+    y: its residue counts, folded."""
+    return fold_counts(residue_counts(weights, ys), ys)
 
 
 def weyl_quotient(counts, ys, cartan):

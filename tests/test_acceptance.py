@@ -12,7 +12,7 @@ from twistblocks import (ambient_alphabet, build_root_datum, build_twist,
                          fusion_coefficient, general_dimension,
                          kac_walton_dimension, riemann_hurwitz_genus,
                          twisted_three_point, weight_alphabet)
-from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, fold_counts, sl2_verlinde,
+from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, sl2_verlinde, weight_sum,
                      weyl_order_classical, weyl_quotient)
 
 NONTRIVIAL_ROWS = list(STANDARD_ROWS)
@@ -185,7 +185,7 @@ def test_acceptance_6_character_engine():
                     xis.append(xi)
                     ys.append(y)
             quotient = weyl_quotient(rd.character_at_exponents(lam, ys), ys, rd.cartan)
-            weights = fold_counts(rd.character_at_exponents(lam, ys, method="weights"), ys)
+            weights = weight_sum(rd.weight_system(lam), ys)
             for xi, a, b in zip(xis, quotient, weights):
                 if abs(a - b) > 1e-9 * max(1.0, abs(b)):
                     failures.append(("agree", t, r, lam, xi, abs(a - b)))

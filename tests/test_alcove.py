@@ -9,9 +9,9 @@ from twistblocks import (build_root_datum, build_twist, enumerate_sigma_c,
                          fold_to_alcove, lattice_orders, weight_alphabet)
 from twistblocks.util import integer_determinant, integer_inverse
 from oracles import (STANDARD_ROWS, SUPPORTED_TYPES, coweight_point,
-                     dual_coxeter_classical, fold_counts, highest_root, long_roots,
+                     dual_coxeter_classical, highest_root, long_roots,
                      quotient_order, simple_root_lengths, sl2_admissible,
-                     solve_rational)
+                     solve_rational, weight_sum)
 
 
 def tw(t, r, kind):
@@ -286,12 +286,10 @@ def test_sign_coherence_with_characters():
             etas = [(a, b) for a in box for b in box]
             for eta in etas:
                 res = fold_to_alcove(data, c, eta)
-                vals = fold_counts(fixed.character_at_exponents(eta, pts, method="weights"),
-                                   pts)
+                vals = weight_sum(fixed.weight_system(eta), pts)
                 if res.status == "wall":
                     assert all(abs(val) < 1e-8 for val in vals)
                 else:
-                    refs = fold_counts(fixed.character_at_exponents(res.weight, pts,
-                                                                    method="weights"), pts)
+                    refs = weight_sum(fixed.weight_system(res.weight), pts)
                     assert all(abs(val - res.sign * ref) < 1e-8
                                for val, ref in zip(vals, refs))

@@ -10,16 +10,16 @@ import pytest
 from sympy import isprime, n_order
 
 from twistblocks import (InconsistentRamification,
-                         IntegralityError, NotInAlphabet, UnstableInput,
+                         IntegralityError, NotInAlphabet, RootDatum, UnstableInput,
                          ambient_alphabet,
                          build_root_datum, build_twist, classical_verlinde,
                          factorized_dimension, fusion_coefficient,
-                         general_dimension,
+                         general_dimension, kac_walton_dimension,
                          riemann_hurwitz_genus, twisted_three_point,
                          weight_alphabet)
 from twistblocks import dims
-from twistblocks.dims import (_WEIGHTSUM_DIM_CAP, _Characters, _PointTable, _modulus,
-                             _point_sum, _primes, _table)
+from twistblocks.dims import (_Characters, _PointTable, _modulus, _point_sum, _primes,
+                             _table)
 from oracles import (STANDARD_ROWS, roots_by_reflection, signed_orbit_bfs,
                      sl2_verlinde)
 
@@ -426,7 +426,7 @@ def _reversed_table(data, c):
     """The point table of (data, c) with its points in reverse order."""
     table = _PointTable(data, c)
     table.enum = dataclasses.replace(table.enum, points=table.enum.points[::-1])
-    table.fixed = _Characters(data.fixed, table.enum.points, 0, table.n)
+    table.fixed = _Characters(data.fixed, table.enum.points, table.n)
     return table
 
 
@@ -510,6 +510,9 @@ def _images(multiset, ys, n, k, over=None):
 IDENTITY_ROWS = (("A", 1, "identity"), ("A", 2, "identity"), ("B", 2, "identity"),
                  ("C", 3, "identity"), ("G", 2, "identity"), ("D", 4, "identity"))
 
+# the largest ambient representation whose weights the per-point oracle sums
+_ORACLE_DIM_CAP = 4000
+
 
 def test_batched_characters_match_per_point_reference():
     # one batched call per table gives each point's own residue counts, and
@@ -530,15 +533,16 @@ def test_batched_characters_match_per_point_reference():
                 assert table.fixed.char(lam, 2).tolist() == \
                     _images(alternant, ys, table.n, 2, over=weyl)
             for nu in ambient_alphabet(data, c):
-                # above the cap only E6 weights at c = 3, beyond the search
-                # oracle; the next test covers the ambient quotient
-                if amb.weyl_dimension(nu) <= _WEIGHTSUM_DIM_CAP:
+                # the ambient quotient against its weight sum; above the cap
+                # only E6 weights at c = 3, beyond the oracle; the next test
+                # checks the ambient quotients against their alternants
+                if amb.weyl_dimension(nu) <= _ORACLE_DIM_CAP:
                     assert table.ambient.char(nu, 2).tolist() == _images(
                         amb.weight_system(nu), table.ambient.ys, table.n, 2)
 
 
-def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
-    # every ambient character through the quotient, where the oracle reaches
+def test_ambient_quotient_characters_match_per_point_reference():
+    # every ambient character is a quotient: checked where the oracle reaches
     for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         amb = data.ambient
@@ -546,13 +550,38 @@ def test_ambient_quotient_characters_match_per_point_reference(monkeypatch):
             continue
         for c in (1, 2):
             table = _PointTable(data, c)
-            monkeypatch.setattr(table.ambient, "weight_cap", 0)
             ys = table.ambient.ys
             weyl = _images(signed_orbit_bfs(amb.cartan, amb.rho), ys, table.n, 2)
             for nu in ambient_alphabet(data, c):
                 alternant = signed_orbit_bfs(amb.cartan, [x + 1 for x in nu])
                 assert table.ambient.char(nu, 2).tolist() == \
                     _images(alternant, ys, table.n, 2, over=weyl)
+
+
+def test_point_sums_read_no_weight_system(monkeypatch):
+    # the twisted Verlinde sum and Kac-Walton are the two sides of a
+    # crosscheck; only Kac-Walton may read Freudenthal multiplicities, so a
+    # fresh point table answers every row with weight systems refused
+    rows = {}
+    for t, r in (("A", 3), ("E", 6)):
+        data = tw(t, r, "diagram2")
+        members = weight_alphabet(data, 2).members
+        rows[data] = [((lam, mu, nu), kac_walton_dimension(data, 2, lam, mu, nu)[0])
+                      for lam in members for mu in members
+                      for nu in ambient_alphabet(data, 2)]
+
+    def refuse(*args):
+        raise AssertionError("a point sum read a Freudenthal weight system")
+
+    monkeypatch.setattr(RootDatum, "weight_system", refuse)
+    monkeypatch.setattr(RootDatum, "_weight_system_uncached", refuse)
+    for data, expected in rows.items():
+        table = _PointTable(data, 2)
+        factor = ((table.enum.order_Tsigma, -1),)
+        got = [_point_sum(table, factor, fixed=(lam, mu), ambient=(nu,), a=1)
+               for (lam, mu, nu), _ in expected]
+        assert got == [kw for _, kw in expected], data
+        assert "ambient" in vars(table)
 
 
 # -- Riemann-Hurwitz ---------------------------------------------------------

@@ -15,9 +15,9 @@ from twistblocks.dims import _Characters
 from twistblocks.liecore import _PHASE_BLOCK, Exponents
 from oracles import (SUPPORTED_TYPES, dual_coxeter_classical, fold_counts, form_value,
                      invariant_form, kostka_numbers, number_of_roots_classical,
-                     positive_coroots, roots_by_reflection, signed_orbit_bfs,
-                     simple_root_lengths, solve_rational, weyl_order_classical,
-                     weyl_quotient)
+                     positive_coroots, residue_counts, roots_by_reflection,
+                     signed_orbit_bfs, simple_root_lengths, solve_rational,
+                     weight_sum, weyl_order_classical, weyl_quotient)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -31,14 +31,17 @@ def random_regular_xi(rd, rng, spread=3):
             return xi
 
 
-def chi(rd, lam, xis, method="quotient"):
+def chi(rd, lam, xis):
     """chi_lam at each coweight point of xis, from one character_at_exponents
-    call, its residue counts folded by the oracle."""
+    call, its residue counts divided by the oracle's Weyl denominator."""
     ys = [rd.exponent_vector(xi) for xi in xis]
-    counts = rd.character_at_exponents(lam, ys, method=method)
-    if method == "weights":
-        return fold_counts(counts, ys)
-    return weyl_quotient(counts, ys, rd.cartan)
+    return weyl_quotient(rd.character_at_exponents(lam, ys), ys, rd.cartan)
+
+
+def chi_by_weights(rd, lam, xis):
+    """chi_lam at each coweight point of xis as the oracle's sum over the
+    weights of V(lam): the second route, through no point sum."""
+    return weight_sum(rd.weight_system(lam), [rd.exponent_vector(xi) for xi in xis])
 
 
 def streamed_orbit(rd, vec):
@@ -160,6 +163,25 @@ def test_orbit_chunks_stay_within_the_phase_block():
     assert rows == weyl_order_classical("A", 8)
 
 
+def test_replay_holds_two_layers_and_no_layer_sized_temporary():
+    # E6: layers of up to 3662 x 6 int64.  A replay holds the layer it reads
+    # and the one it writes, and column-sized temporaries; a block-sized one
+    # on top (a rows x rank product, or np.take's buffer for out) took the
+    # traced peak to 2.6 layers, and both together past three
+    rd = build_root_datum("E", 6)
+    rd._walk_rho()                  # the walk's steps are cached, not traced
+    largest = 0
+    tracemalloc.start()
+    try:
+        for layer in rd._replay(rd.rho):
+            largest = max(largest, layer.nbytes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert largest == 3662 * 6 * 8
+    assert peak < 2.5 * largest, (peak, largest)
+
+
 def test_weyl_quotient_character_peak_memory_stays_near_the_phase_block():
     # E6 on its classical c = 2 point table: a materialized orbit of lam+rho
     # alone is 51840 x 6 int64, 2.5 MB
@@ -180,19 +202,6 @@ def test_weyl_quotient_character_peak_memory_stays_near_the_phase_block():
     assert peak < 1 << 20, peak
 
 
-def residue_counts(multiset, ys):
-    """Per point y, the counts of the multiset {row: m} by row . y.num mod
-    y.den, each row reduced on its own: no chunk, block or shift."""
-    rows = np.array(list(multiset), dtype=np.int64)
-    mults = np.array(list(multiset.values()), dtype=np.int64)
-    out = []
-    for y in ys:
-        counts = np.zeros(y.den, dtype=np.int64)
-        np.add.at(counts, rows @ np.array(y.num, dtype=np.int64) % y.den, mults)
-        out.append(counts.tolist())
-    return out
-
-
 def test_streamed_counts_match_a_per_row_count_over_many_chunks_and_dens():
     # E6 lam+rho: 51840 rows, many chunks of _PHASE_BLOCK entries, counted on
     # the classical c = 2 table, whose points have two denominators
@@ -204,12 +213,14 @@ def test_streamed_counts_match_a_per_row_count_over_many_chunks_and_dens():
     assert sum(1 for _ in rd._orbit_chunks(lr)) >= 51840 * 6 // _PHASE_BLOCK
     got = rd.character_at_exponents(lam, ys)
     assert [c.tolist() for c in got] == residue_counts(signed_orbit_bfs(rd.cartan, lr), ys)
-    # the weights of V(1,0,0,0,1,0): 1782 rows, more than one chunk's 1365
+    # V(1,0,0,0,1,0): its streamed quotient against the oracle's sum over
+    # its 1782 weights, more rows than one chunk's 1365
     lam = (1, 0, 0, 0, 1, 0)
     weights = rd.weight_system(lam)
     assert len(weights) * 6 > _PHASE_BLOCK
-    got = rd.character_at_exponents(lam, ys, method="weights")
-    assert [c.tolist() for c in got] == residue_counts(weights, ys)
+    got = weyl_quotient(rd.character_at_exponents(lam, ys), ys, rd.cartan)
+    for a, b in zip(got, weight_sum(weights, ys)):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
 def test_huge_weight_counts_match_a_per_row_count():
@@ -336,8 +347,9 @@ def test_adjoint_weight_system():
         ws = rd.weight_system(theta)
         assert ws == {**{w: 1 for w in roots}, (0,) * r: r}, (t, r)
         assert sum(ws.values()) == rd.weyl_dimension(theta)
-        # the batched orbit expansion generates every weight once
-        vecs, mults = rd._weight_arrays(theta)
+        # the batched orbit expansion generates every weight once: its own
+        # arrays, before the dict could merge a duplicate
+        vecs, mults = rd._weight_system_uncached(theta)
         assert len(set(map(tuple, vecs.tolist()))) == len(vecs) == len(ws)
         assert dict(zip(map(tuple, vecs.tolist()), mults.tolist())) == ws
 
@@ -396,7 +408,7 @@ def test_character_examples():
     # (A1, 2 omega, rho_check/4): weight sum e^{i pi/2} + 1 + e^{-i pi/2} = 1,
     # frozen from the weight-multiplicity oracle
     xi = (Fraction(1, 4),)
-    byw, = chi(A1, (2,), [xi], method="weights")
+    byw, = chi_by_weights(A1, (2,), [xi])
     expect = sum(np.exp(2j * np.pi * Fraction(k, 4) * Fraction(1, 2) * 2)
                  for k in (1, 0, -1))
     assert abs(byw - expect) < 1e-12
@@ -413,7 +425,7 @@ def test_character_two_way_agreement():
                 if rd.weyl_dimension(lam) <= 500]
         for lam in lams:
             xis = [random_regular_xi(rd, rng) for _ in range(3)]
-            for a, b in zip(chi(rd, lam, xis), chi(rd, lam, xis, method="weights")):
+            for a, b in zip(chi(rd, lam, xis), chi_by_weights(rd, lam, xis)):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
@@ -452,19 +464,20 @@ def test_character_weyl_invariance():
 
 def test_character_bound_and_phase_bookkeeping():
     # one int64 count per residue of each point's own denominator; the
-    # weight counts add up to dim V(lam), the alternant's to 0
+    # alternant's counts add up to 0, the oracle's weight counts to dim V(lam)
     rng = random.Random(31)
     for t, r in [("A", 2), ("C", 2)]:
         rd = build_root_datum(t, r)
         lam = (1,) * r
         xis = [random_regular_xi(rd, rng) for _ in range(5)]
         ys = [rd.exponent_vector(xi) for xi in xis]
-        for method, total in (("weights", rd.weyl_dimension(lam)), ("quotient", 0)):
-            counts = rd.character_at_exponents(lam, ys, method=method)
-            for c, y in zip(counts, ys):
-                assert c.dtype == np.int64 and len(c) == y.den
-                assert c.sum() == total
-        for cv in chi(rd, lam, xis, method="weights"):
+        for c, y in zip(rd.character_at_exponents(lam, ys), ys):
+            assert c.dtype == np.int64 and len(c) == y.den
+            assert c.sum() == 0
+        for c, y in zip(residue_counts(rd.weight_system(lam), ys), ys):
+            assert len(c) == y.den
+            assert sum(c) == rd.weyl_dimension(lam)
+        for cv in chi(rd, lam, xis) + chi_by_weights(rd, lam, xis):
             assert abs(cv) <= rd.weyl_dimension(lam) + 1e-9
 
 
@@ -477,4 +490,4 @@ def test_singular_point_raises():
         numerator, = fold_counts(rd.character_at_exponents((1,) * rd.rank, [y]), [y])
         assert abs(numerator) < 1e-12
         with pytest.raises(AssertionError, match="singular"):
-            _Characters(rd, [y], 0, y.den)
+            _Characters(rd, [y], y.den)

@@ -10,7 +10,7 @@ from twistblocks import (IllegalPair, NonDominant, RootDatum,
                          weight_alphabet)
 from twistblocks.twist import _branch_uncached
 from oracles import (FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS,
-                     coweight_point, fold_counts, form_value, rational_inverse)
+                     coweight_point, form_value, rational_inverse, weight_sum)
 
 
 def tw(t, r, kind):
@@ -130,11 +130,8 @@ def test_branch_character_consistency():
             if amb.weyl_dimension(nu) > 1000:
                 continue
             y_amb = data.ambient_exponents(y_fixed)
-            lhs, = fold_counts(amb.character_at_exponents(nu, [y_amb], method="weights"),
-                               [y_amb])
-            rhs = sum(m * fold_counts(fixed.character_at_exponents(eta, [y_fixed],
-                                                                   method="weights"),
-                                      [y_fixed])[0]
+            lhs, = weight_sum(amb.weight_system(nu), [y_amb])
+            rhs = sum(m * weight_sum(fixed.weight_system(eta), [y_fixed])[0]
                       for eta, m in branch_to_fixed(data, nu).items())
             assert abs(lhs - rhs) < 1e-8
 
