@@ -77,7 +77,6 @@ def enumerate_sigma_c(twist, c):
     Every point is checked regular for the fixed Weyl group, and the count
     must match |D_{c,sigma}| (the fusion-basis cardinality).
     """
-    twist._require_standard("the regular-point enumeration")
     if c < 1:
         raise ValueError("level must be >= 1")
     pts = _points(twist, c)
@@ -106,7 +105,6 @@ def fold_to_alcove(twist, c, eta):
     fold repeats.  Translations have even length, so the sign is just
     (-1)^#reflections.
     """
-    twist._require_standard("alcove folding")
     fixed = twist.fixed
     nshift = twist.shifted_level(c)
     marks = twist.level_marks

@@ -127,11 +127,12 @@ def parse_request(text):
     if ok_tw:
         kindname = tw.get("kind")
         order = tw.get("order")
-        need("twist.kind", isinstance(kindname, str), "required string")
-        need("twist.order", _is_int(order), "required integer")
-        tag = _KIND_BY_NAME.get((kindname, order))
-        need("twist", tag is not None,
-             f"unknown kind/order combination {kindname!r}/{order!r}")
+        ok_kind = need("twist.kind", isinstance(kindname, str), "required string")
+        ok_order = need("twist.order", _is_int(order), "required integer")
+        if ok_kind and ok_order:    # a list or object would be unhashable
+            tag = _KIND_BY_NAME.get((kindname, order))
+            need("twist", tag is not None,
+                 f"unknown kind/order combination {kindname!r}/{order!r}")
     need("level", _is_int(doc.get("level")) and doc["level"] >= 1,
          "required integer >= 1")
     comp = doc.get("computation")
@@ -320,12 +321,11 @@ class _Rows(list):
 
 # with indent set, json encodes through its pure-Python iterencode, which
 # yields the document in small pieces: json.dumps' bytes, never held whole.
-# It iterates a list, so _Rows hands it each row's dict directly; a Row
-# that reaches it otherwise goes through the default hook.  A report is a
-# tree of containers that only share leaf lists, so the cycle check (a third
-# of the encoding time) is skipped; it changes no byte
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False,
-                            default=Row.as_doc)
+# It iterates a list, so _Rows hands it each row's dict directly; that is
+# the only way a Row reaches it.  A report is a tree of containers that only
+# share leaf lists, so the cycle check (a third of the encoding time) is
+# skipped; it changes no byte
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
 
 
 def _structured_parts(rep):

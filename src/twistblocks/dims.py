@@ -271,7 +271,6 @@ def fusion_coefficient(twist, c, lam, mu, eta):
     a trace ring of a diagram automorphism, and genuinely negative values
     occur from level 2 on (e.g. c^{w2}_{w2,w2} = -1 for (A3, diagram2)).
     """
-    twist._require_standard("fusion coefficients")
     if twist.kind == "identity":
         raise NotInAlphabet("twisted fusion needs a nontrivial twist")
     lam = _check_twisted(twist, c, lam, "lambda")
@@ -284,7 +283,6 @@ def fusion_coefficient(twist, c, lam, mu, eta):
 
 
 def _check_curve(twist, c, genus_bar, lambda_dagger, mu):
-    twist._require_standard("the general dimension formula")
     if len(lambda_dagger) % 2 != 0:
         raise NotInAlphabet("lambda_dagger must list 2a paired weights")
     a = len(lambda_dagger) // 2

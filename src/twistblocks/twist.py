@@ -1,14 +1,12 @@
 """Automorphism layer: diagram/standard automorphisms, fixed subalgebras,
 weight restriction and branching, twisted level alphabets."""
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllegalPair, NonDominant, NotInAlphabet,
-                     UnsupportedCombination)
+from .errors import IllegalPair, NonDominant, NotInAlphabet
 from .liecore import Exponents, RootDatum, build_root_datum
 from .util import memo
 
@@ -16,48 +14,47 @@ from .util import memo
 def _fold_spec(ambient, tag):
     """Node orbits of the diagram part and the fixed-algebra label.
 
-    Returns (fixed_type, fixed_rank, orbits, coroot_scales, standard).
-    ``coroot_scales[i]`` multiplies the orbit-sum of simple coroots; it is
-    2 only on the last node of the (A_{2n}, diagram2) row.
+    Returns (fixed_type, fixed_rank, orbits).  Every row is a standard
+    twist: A_{2n} is reached only through standard4, its order-2 diagram
+    fold (fixed B_n) is refused.
     """
     t, r = ambient.lie_type, ambient.rank
     if tag == "diagram2":
         if t == "A" and r >= 3 and r % 2 == 1:          # A_{2n-1} -> C_n
             n = (r + 1) // 2
             orbits = [(i, r - 1 - i) for i in range(n - 1)] + [(n - 1,)]
-            return ("C", n, orbits, [1] * n, True)
-        if t == "A" and r >= 2 and r % 2 == 0:          # A_{2n} -> B_n (special, not standard)
-            n = r // 2
-            orbits = [(i, r - 1 - i) for i in range(n)]
-            return ("B", n, orbits, [1] * (n - 1) + [2], False)
+            return ("C", n, orbits)
+        if t == "A" and r >= 2 and r % 2 == 0:
+            raise IllegalPair(f"{t}{r} has no standard diagram2 twist; "
+                              "use standard4 (kind \"standard\", order 4)")
         if t == "D" and r >= 4:                          # D_{n+1} -> B_n
             n = r - 1
             orbits = [(i,) for i in range(n - 1)] + [(n - 1, n)]
-            return ("B", n, orbits, [1] * n, True)
+            return ("B", n, orbits)
         if t == "E" and r == 6:                          # E6 -> F4
-            return ("F", 4, [(1,), (3,), (2, 4), (0, 5)], [1] * 4, True)
+            return ("F", 4, [(1,), (3,), (2, 4), (0, 5)])
     elif tag == "diagram3":
         if t == "D" and r == 4:                          # D4 -> G2 (triality)
-            return ("G", 2, [(1,), (0, 2, 3)], [1] * 2, True)
+            return ("G", 2, [(1,), (0, 2, 3)])
     elif tag == "standard4":
         if t == "A" and r >= 2 and r % 2 == 0:           # A_{2n} -> C_n, order 4
             n = r // 2
             orbits = [(i, r - 1 - i) for i in range(n)]
-            return ("C", n, orbits, [1] * n, True)
+            return ("C", n, orbits)
     else:
         raise IllegalPair(f"unknown twist kind {tag!r}")
     raise IllegalPair(f"no {tag} automorphism row for {t}{r}")
 
 
 def _fixed_datum(fixed_type, fixed_rank):
-    if fixed_rank == 1:   # B1 and C1 mean A1
+    if fixed_rank == 1:   # C1 means A1
         return build_root_datum("A", 1)
     return build_root_datum(fixed_type, fixed_rank)
 
 
 @dataclass(eq=False)
 class TwistData:
-    """All fixed-subalgebra data attached to a standard (or special) twist.
+    """All fixed-subalgebra data attached to a standard twist.
 
     Hashes by identity: build_twist makes one per (ambient, kind), and the
     caches downstream are keyed by that instance.
@@ -70,7 +67,6 @@ class TwistData:
                                           # fixed-weight coords; nu(Q^vee) for the identity
     theta_sigma: tuple                    # weight of the fixed algebra
     level_marks: tuple                    # (lambda, theta^vee_sigma) = level_marks . lambda
-    is_standard: bool
 
     @property
     def dual_coxeter(self):
@@ -81,20 +77,13 @@ class TwistData:
         return c + self.dual_coxeter
 
     def ambient_exponents(self, yf):
-        """Exponents for ambient weights of the point with fixed exponents yf,
-        in lowest terms.
+        """Exponents for ambient weights of the point with fixed exponents yf.
 
-        omega_i^g(xi) = (R omega_i^g)(xi), so y_g = R^T y_fixed.
+        omega_i^g(xi) = (R omega_i^g)(xi), so y_g = R^T y_fixed.  Each column
+        of R is a 0/1 unit vector, so every ambient exponent copies a fixed
+        one and the result stays in lowest terms.
         """
-        num = (yf.num @ self.restriction_matrix).tolist()
-        g = math.gcd(yf.den, *num)
-        return Exponents(tuple(x // g for x in num), yf.den // g)
-
-    def _require_standard(self, what):
-        if not self.is_standard:
-            raise UnsupportedCombination(
-                f"{what} is defined for standard automorphisms only; "
-                f"({self.ambient.lie_type}{self.ambient.rank}, diagram2) is excluded")
+        return Exponents(tuple((yf.num @ self.restriction_matrix).tolist()), yf.den)
 
 
 def _coroot_coords_of_dual(rd, root):
@@ -115,7 +104,7 @@ def build_twist(ambient, kind):
     if kind == "identity":
         return _identity_twist(ambient)
 
-    ftype, frank, orbits, cscale, standard = _fold_spec(ambient, kind)
+    ftype, frank, orbits = _fold_spec(ambient, kind)
     fixed = _fixed_datum(ftype, frank)
 
     # scales of the restricted simple roots: 2 alpha_n| on the standard4 row
@@ -128,7 +117,7 @@ def build_twist(ambient, kind):
     for i in range(frank):
         for j in range(frank):
             o_j = orbits[j][0]
-            afix[i, j] = rscale[j] * cscale[i] * sum(int(amb_a[k][o_j]) for k in orbits[i])
+            afix[i, j] = rscale[j] * sum(int(amb_a[k][o_j]) for k in orbits[i])
     if not np.array_equal(afix, fixed.cartan):
         raise AssertionError(f"folded Cartan mismatch for ({ambient}, {kind}): "
                              f"{afix.tolist()} vs {fixed.cartan.tolist()}")
@@ -136,7 +125,7 @@ def build_twist(ambient, kind):
     rmat = np.zeros((frank, ambient.rank), dtype=np.int64)
     for i, orb in enumerate(orbits):
         for k in orb:
-            rmat[i, k] = cscale[i]
+            rmat[i, k] = 1
 
     if kind == "standard4":
         theta_l = fixed.highest_root
@@ -149,14 +138,12 @@ def build_twist(ambient, kind):
         marks = _coroot_coords_of_dual(fixed, theta_sigma)
         lattice = fixed.simple_roots
 
-    if standard:
-        assert sum(marks) == ambient.dual_coxeter - 1, \
-            "(rho_sigma, theta_check_sigma) must equal h-check - 1"
+    assert sum(marks) == ambient.dual_coxeter - 1, \
+        "(rho_sigma, theta_check_sigma) must equal h-check - 1"
 
     return TwistData(ambient=ambient, kind=kind, fixed=fixed,
                      restriction_matrix=rmat, lattice_M=tuple(lattice),
-                     theta_sigma=theta_sigma, level_marks=marks,
-                     is_standard=standard)
+                     theta_sigma=theta_sigma, level_marks=marks)
 
 
 def _identity_twist(ambient):
@@ -170,15 +157,12 @@ def _identity_twist(ambient):
     assert sum(marks) == ambient.dual_coxeter - 1
     return TwistData(ambient=ambient, kind="identity", fixed=ambient,
                      restriction_matrix=eye, lattice_M=lattice,
-                     theta_sigma=ambient.highest_root, level_marks=marks,
-                     is_standard=True)
+                     theta_sigma=ambient.highest_root, level_marks=marks)
 
 
 @dataclass(frozen=True)
 class WeightSet:
     """The level-c alphabet D_{c,sigma}, deterministically ordered."""
-    level: int
-    twist: TwistData
     members: tuple
 
     def __len__(self):
@@ -209,7 +193,6 @@ def weight_alphabet(twist, c):
     """D_{c,sigma}: dominant weights of the fixed algebra with level <= c."""
     if c < 0:
         raise ValueError("level must be >= 0")
-    twist._require_standard("the level alphabet")
     return _alphabet(twist, c)
 
 
@@ -221,7 +204,7 @@ def _alphabet(twist, c):
         for lam in members:
             assert twist.fixed.dual_weight(lam) == lam, \
                 "twisted alphabet members must be self-dual"
-    return WeightSet(level=c, twist=twist, members=tuple(members))
+    return WeightSet(members=tuple(members))
 
 
 def ambient_alphabet(twist, c):
@@ -251,9 +234,8 @@ def _check_ambient(twist, c, nu, slot):
 
 
 def _check_three_point(twist, c, lam, mu, nu, what):
-    """(lam, mu, nu) as tuples of ints, for a standard nontrivial twist,
-    lam and mu in D_{c,sigma}, nu in D_c.  `what` names the computation."""
-    twist._require_standard(what)
+    """(lam, mu, nu) as tuples of ints, for a nontrivial twist, lam and mu
+    in D_{c,sigma}, nu in D_c.  `what` names the computation."""
     if twist.kind == "identity":
         raise NotInAlphabet(f"{what} needs a nontrivial twist")
     return (_check_twisted(twist, c, lam, "lambda"),

@@ -105,9 +105,6 @@ FIXED_TABLE = {
     ("A", 3, "diagram2"): ("C", 2),
     ("A", 5, "diagram2"): ("C", 3),
     ("A", 7, "diagram2"): ("C", 4),
-    ("A", 2, "diagram2"): ("A", 1),
-    ("A", 4, "diagram2"): ("B", 2),
-    ("A", 6, "diagram2"): ("B", 3),
     ("A", 2, "standard4"): ("A", 1),
     ("A", 4, "standard4"): ("C", 2),
     ("A", 6, "standard4"): ("C", 3),

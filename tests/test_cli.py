@@ -612,6 +612,39 @@ def test_field_the_computation_does_not_read_exits_2(doc, field, capsys, monkeyp
     assert "does not read" in err
 
 
+@pytest.mark.parametrize("twist", [{"kind": ["diagram"], "order": 2},
+                                   {"kind": "diagram", "order": [2]},
+                                   {"kind": "diagram", "order": {"a": 1}}],
+                         ids=["kind-list", "order-list", "order-object"])
+def test_unhashable_twist_field_exits_2(twist, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make_request(twist=twist))))
+    assert main(["-", "--format", "structured"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: twist."), err
+
+
+_A4_WEIGHTS = {"twisted": [[0, 0], [0, 0]], "ambient": [[0, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    make_request(computation="three_point", weights=_A4_WEIGHTS),
+    make_request(computation="fusion_table"),
+    make_request(computation="general", genus_bar=0, pairs=1, weights=_A4_WEIGHTS),
+    make_request(computation="crosscheck"),
+], ids=lambda d: d["computation"])
+def test_a2n_diagram2_is_refused_while_parsing(doc, capsys, monkeypatch):
+    # A_2n is computed through standard4; its order-2 row never reaches a pipeline
+    doc = dict(doc, algebra={"type": "A", "rank": 4})
+    with pytest.raises(UnsupportedCombination, match="standard4"):
+        parse_request(json.dumps(doc))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["-", "--format", "structured"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "standard4" in err, err
+
+
 def _row(i, value):
     """A record and, built apart from it, the dict it must be written as;
     the odd rows disagree."""

@@ -4,8 +4,8 @@ import os
 import pytest
 
 import twistblocks
-from twistblocks import (NotInAlphabet, UnsupportedCombination, ambient_alphabet,
-                         branch_to_fixed, build_root_datum, build_twist,
+from twistblocks import (NotInAlphabet, ambient_alphabet, branch_to_fixed,
+                         build_root_datum, build_twist,
                          euler_characteristic_report, fold_to_alcove,
                          kac_walton_dimension, twisted_three_point,
                          weight_alphabet)
@@ -183,9 +183,6 @@ def test_wall_contributions_recorded():
 
 
 def test_scope_errors():
-    with pytest.raises(UnsupportedCombination):
-        kac_walton_dimension(tw("A", 4, "diagram2"), 1, (0, 0), (0, 0),
-                             (0, 0, 0, 0))
     with pytest.raises(NotInAlphabet):
         kac_walton_dimension(tw("A", 3, "identity"), 1, (0, 0, 0),
                              (0, 0, 0), (0, 0, 0))

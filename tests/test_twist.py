@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistblocks import (IllegalPair, NonDominant, RootDatum,
-                         UnsupportedCombination, branch_to_fixed,
+from twistblocks import (IllegalPair, NonDominant, RootDatum, branch_to_fixed,
                          build_root_datum, build_twist, enumerate_sigma_c,
                          weight_alphabet)
 from twistblocks.twist import _branch_uncached
@@ -28,9 +27,6 @@ def test_twist_examples():
     assert tw("D", 4, "diagram3").fixed.lie_type == "G"
     a4 = tw("A", 4, "standard4")
     assert (a4.fixed.lie_type, a4.fixed.rank) == ("C", 2)
-    for (t, r, kind) in STANDARD_ROWS:
-        assert tw(t, r, kind).is_standard
-    assert not tw("A", 4, "diagram2").is_standard
 
 
 def test_illegal_pairs():
@@ -43,6 +39,10 @@ def test_illegal_pairs():
             tw(t, r, kind)
     with pytest.raises(IllegalPair, match="unknown twist kind"):
         tw("A", 3, "frobenius")
+    # A_2n is computed only through its order-4 standard twist
+    for r in (2, 4, 6):
+        with pytest.raises(IllegalPair, match="standard4"):
+            tw("A", r, "diagram2")
     # D6 folds to B5, which the supported table caps away
     from twistblocks import UnsupportedType
     with pytest.raises(UnsupportedType):
@@ -52,9 +52,8 @@ def test_illegal_pairs():
 def test_level_marks_against_frozen_table():
     for (t, r, kind), marks in TWISTED_LEVEL_MARKS.items():
         data = tw(t, r, kind)
-        if data.is_standard and data.kind != "identity":
-            assert data.level_marks == marks, (t, r, kind)
-            assert sum(marks) == data.ambient.dual_coxeter - 1
+        assert data.level_marks == marks, (t, r, kind)
+        assert sum(marks) == data.ambient.dual_coxeter - 1
 
 
 def test_theta_check_direction():
@@ -148,14 +147,12 @@ def _check_exponents(rd, got, expect):
 
 def test_exponents_are_integers_over_least_denominator():
     rng = random.Random(41)
-    # the special (A_2n, diagram2) rows have no Sigma_c, but their restriction
-    # matrix has a 2, the only case where ambient exponents need reducing
-    for (t, r, kind) in STANDARD_ROWS + (("A", 2, "diagram2"), ("A", 4, "diagram2")):
+    for (t, r, kind) in STANDARD_ROWS:
         data = tw(t, r, kind)
         fixed, amb = data.fixed, data.ambient
         rmat = data.restriction_matrix.tolist()
         inv = rational_inverse(fixed.cartan)
-        points = [coweight_point(fixed.cartan, y) for c in (1, 2, 3) if data.is_standard
+        points = [coweight_point(fixed.cartan, y) for c in (1, 2, 3)
                   for y in enumerate_sigma_c(data, c).points]
         for _ in range(40):
             q = rng.randrange(1, 3 * data.dual_coxeter)
@@ -233,12 +230,13 @@ def test_alphabet_self_duality():
             assert data.fixed.dual_weight(lam) == lam
 
 
-def test_non_standard_row_is_structural_only():
-    data = tw("A", 4, "diagram2")
-    # branching through the B_n restriction still works
+def test_a2n_is_computed_through_standard4():
+    # (A4, diagram2) with fixed B2 is refused where the twist is built; the
+    # order-4 row restricts to C2 and has an alphabet and its torus points
+    with pytest.raises(IllegalPair, match="standard4"):
+        tw("A", 4, "diagram2")
+    data = tw("A", 4, "standard4")
     decomp = branch_to_fixed(data, (1, 0, 0, 0))
     total = sum(m * data.fixed.weyl_dimension(eta) for eta, m in decomp.items())
     assert total == 5
-    # but no alphabet, alcove, or dimension machinery accepts it
-    with pytest.raises(UnsupportedCombination):
-        weight_alphabet(data, 1)
+    assert len(weight_alphabet(data, 1)) == len(enumerate_sigma_c(data, 1).points)
