@@ -2,8 +2,7 @@
 Sigma_c = T_c^{sigma,reg}/W^sigma, and affine Weyl folding with the
 rho-shifted star action."""
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .twist import build_twist, weight_alphabet, _bounded_lex
 from .util import integer_determinant
@@ -13,15 +12,13 @@ from .util import integer_determinant
 _FOLD_SLACK = 64
 
 
-@dataclass(frozen=True)
-class AlcoveEnumeration:
+class AlcoveEnumeration(NamedTuple):
     points: tuple           # Exponents of each point for the fixed algebra
     order_T: int
     order_Tsigma: int
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(NamedTuple):
     status: str                       # "interior" | "wall"
     weight: Optional[tuple] = None    # dominant alcove representative
     sign: Optional[int] = None        # (-1)^length of the folding word

@@ -9,12 +9,11 @@ slots to g itself).
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from .dims import (classical_verlinde, factorized_dimension, fusion_coefficient,
                    general_dimension, twisted_three_point)
@@ -22,7 +21,8 @@ from .errors import (IllegalPair, IntegralityError, SchemaError,
                      UnsupportedCombination, VerlindeError)
 from .kacwalton import kac_walton_dimension
 from .liecore import build_root_datum
-from .twist import ambient_alphabet, build_twist, weight_alphabet
+from .twist import ambient_alphabet, bounded_count, build_twist, weight_alphabet
+from .util import Record
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +31,11 @@ RESIDUAL = 0.0
 
 _COMPUTATIONS = ("classical", "three_point", "fusion_table", "general",
                  "factorized", "crosscheck")
+
+# the level budget: the most members D_c or D_{c,sigma} of a request may
+# have.  Torus points, alphabets and table rows all grow with these; (G2,
+# identity) c=120, with 3721, is the largest level any known request asks for
+MAX_ALPHABET = 10000
 
 _KIND_BY_NAME = {("identity", 1): "identity", ("diagram", 2): "diagram2",
                  ("diagram", 3): "diagram3", ("standard", 4): "standard4"}
@@ -47,19 +52,25 @@ def _is_tolerance(x):
     return (_is_int(x) or isinstance(x, float)) and 0 < x <= sys.float_info.max
 
 
-@dataclass
-class Request:
-    algebra_type: str
-    algebra_rank: int
-    twist_tag: str
-    level: int
-    computation: str
-    weights_twisted: tuple = ()
-    weights_ambient: tuple = ()
-    genus_bar: int = 0
-    pairs: int = 0
-    tolerance: float = 1e-5     # schema 1 field: validated and echoed, judges nothing
-    out_format: str = "table"
+class Request(Record):
+    __slots__ = ("algebra_type", "algebra_rank", "twist_tag", "level", "computation",
+                 "weights_twisted", "weights_ambient", "genus_bar", "pairs",
+                 "tolerance", "out_format")
+
+    def __init__(self, algebra_type, algebra_rank, twist_tag, level, computation,
+                 weights_twisted=(), weights_ambient=(), genus_bar=0, pairs=0,
+                 tolerance=1e-5, out_format="table"):
+        self.algebra_type = algebra_type
+        self.algebra_rank = algebra_rank
+        self.twist_tag = twist_tag
+        self.level = level
+        self.computation = computation
+        self.weights_twisted = weights_twisted
+        self.weights_ambient = weights_ambient
+        self.genus_bar = genus_bar
+        self.pairs = pairs
+        self.tolerance = tolerance      # schema 1 field: validated and echoed, judges nothing
+        self.out_format = out_format
 
     def echo(self):
         name, order = _NAME_BY_KIND[self.twist_tag]
@@ -77,14 +88,17 @@ class Request:
         }
 
 
-@dataclass
-class Report:
-    version: int
-    request: dict
-    pipelines: tuple
-    results: tuple      # of Row
-    agreement: Optional[bool] = None
-    timing: Optional[float] = None
+class Report(Record):
+    __slots__ = ("version", "request", "pipelines", "results", "agreement", "timing")
+
+    def __init__(self, version, request, pipelines, results, agreement=None,
+                 timing=None):
+        self.version = version
+        self.request = request          # dict
+        self.pipelines = pipelines
+        self.results = results          # tuple of Row
+        self.agreement = agreement      # None outside a crosscheck
+        self.timing = timing
 
 
 def parse_request(text):
@@ -153,18 +167,29 @@ def parse_request(text):
     except IllegalPair as exc:
         raise UnsupportedCombination(str(exc)) from None
 
+    # counted from the marks, so a level past the budget builds nothing
+    c = doc["level"]
+    alphabets = {f"D_c of {rd}": rd.dual_marks}
+    if tag != "identity":
+        alphabets[f"D_{{c,sigma}} of {twist.fixed}"] = twist.level_marks
+    for name, marks in alphabets.items():
+        need("level", bounded_count(marks, c, MAX_ALPHABET) <= MAX_ALPHABET,
+             f"{name} has more than {MAX_ALPHABET} members")
+
     def vectors(key, rank, path):
+        """The vectors the request gave, as tuples; a malformed one is kept
+        as given, so it still counts, and is a problem that raises below."""
         raw = weights.get(key, [])
         if not isinstance(raw, list):
             problems.append(f"{path}: must be a list of coordinate vectors")
             return ()
         out = []
         for i, v in enumerate(raw):
-            if not (isinstance(v, list) and len(v) == rank
-                    and all(_is_int(x) for x in v)):
-                problems.append(f"{path}[{i}]: expected {rank} integer coordinates")
+            if isinstance(v, list) and len(v) == rank and all(_is_int(x) for x in v):
+                v = tuple(v)
             else:
-                out.append(tuple(v))
+                problems.append(f"{path}[{i}]: expected {rank} integer coordinates")
+            out.append(v)
         return tuple(out)
 
     wt = vectors("twisted", twist.fixed.rank, "weights.twisted")
@@ -212,7 +237,7 @@ def parse_request(text):
         raise SchemaError("; ".join(problems))
 
     return Request(algebra_type=alg["type"], algebra_rank=alg["rank"],
-                   twist_tag=tag, level=doc["level"], computation=comp,
+                   twist_tag=tag, level=c, computation=comp,
                    weights_twisted=wt, weights_ambient=wa,
                    genus_bar=genus_bar, pairs=pairs, tolerance=float(tol),
                    out_format=fmt)
@@ -468,5 +493,18 @@ def _answer(args, lift_digit_limit):
     return 0 if report_ok(rep, req.tolerance) else 1
 
 
+def entry():
+    """The process entry of `verlinde` and of `python -m twistblocks.cli`:
+    main's exit code, after moving every object the process still holds
+    into the collector's permanent generation.  The interpreter's final
+    collection then skips them, where it would free each cyclic object one
+    by one just before the OS frees the whole process; flushes and atexit
+    still run.  main itself leaves the collector alone, so it can be called
+    in process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -3,16 +3,14 @@ affine alcove folding.  Independent of the torus-point sums in dims; the
 two must agree, and that agreement is the package's main consistency
 check."""
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .alcove import fold_to_alcove
 from .twist import _check_three_point, branch_to_fixed
 from .util import memo
 
 
-@dataclass(frozen=True)
-class KWContribution:
+class KWContribution(NamedTuple):
     eta: tuple                 # dominant tensor constituent
     multiplicity: int
     sign: Optional[int]        # None when the constituent folds onto a wall
@@ -20,8 +18,7 @@ class KWContribution:
     length_parity: int = 0
 
 
-@dataclass(frozen=True)
-class KWLedger:
+class KWLedger(NamedTuple):
     contributions: tuple
     total: int
 

@@ -1,14 +1,14 @@
 """Automorphism layer: diagram/standard automorphisms, fixed subalgebras,
 weight restriction and branching, twisted level alphabets."""
 
+import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet
-from .liecore import Exponents, RootDatum, build_root_datum
-from .util import memo
+from .liecore import Exponents, build_root_datum
+from .util import Record, memo
 
 
 def _fold_spec(ambient, tag):
@@ -52,21 +52,29 @@ def _fixed_datum(fixed_type, fixed_rank):
     return build_root_datum(fixed_type, fixed_rank)
 
 
-@dataclass(eq=False)
 class TwistData:
     """All fixed-subalgebra data attached to a standard twist.
 
     Hashes by identity: build_twist makes one per (ambient, kind), and the
     caches downstream are keyed by that instance.
     """
-    ambient: RootDatum
-    kind: str                             # identity | diagram2 | diagram3 | standard4
-    fixed: RootDatum
-    restriction_matrix: np.ndarray        # fixed-weight coords of a restricted ambient weight
-    lattice_M: tuple                      # basis vectors of the translation lattice M in
-                                          # fixed-weight coords; nu(Q^vee) for the identity
-    theta_sigma: tuple                    # weight of the fixed algebra
-    level_marks: tuple                    # (lambda, theta^vee_sigma) = level_marks . lambda
+    __slots__ = ("ambient", "kind", "fixed", "restriction_matrix", "lattice_M",
+                 "theta_sigma", "level_marks")
+
+    def __init__(self, ambient, kind, fixed, restriction_matrix, lattice_M,
+                 theta_sigma, level_marks):
+        self.ambient = ambient                # RootDatum
+        self.kind = kind                      # identity | diagram2 | diagram3 | standard4
+        self.fixed = fixed                    # RootDatum
+        # np.ndarray: fixed-weight coords of a restricted ambient weight
+        self.restriction_matrix = restriction_matrix
+        self.lattice_M = lattice_M            # basis vectors of the translation lattice M in
+                                              # fixed-weight coords; nu(Q^vee) for the identity
+        self.theta_sigma = theta_sigma        # weight of the fixed algebra
+        self.level_marks = level_marks        # (lambda, theta^vee_sigma) = level_marks . lambda
+
+    def __repr__(self):
+        return f"TwistData({self.ambient}, {self.kind!r})"
 
     @property
     def dual_coxeter(self):
@@ -160,10 +168,15 @@ def _identity_twist(ambient):
                      theta_sigma=ambient.highest_root, level_marks=marks)
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Record):
     """The level-c alphabet D_{c,sigma}, deterministically ordered."""
-    members: tuple
+    __slots__ = ("members",)
+
+    def __init__(self, members):
+        self.members = members
+
+    def __hash__(self):
+        return hash(self.members)
 
     def __len__(self):
         return len(self.members)
@@ -187,6 +200,25 @@ def _bounded_lex(marks, budget):
 
     rec([], budget)
     return out
+
+
+def bounded_count(marks, budget, cap):
+    """How many vectors _bounded_lex(marks, budget) would build, or cap + 1
+    once that is past cap; no vector is built.
+
+    The vectors of coordinate sum <= budget // max(marks) are among them, so
+    once their number is past cap the count is too; otherwise budget is small
+    and ways[s], the vectors with marks . v == s, are counted mark by mark.
+    """
+    marks = [int(m) for m in marks]
+    n = len(marks)
+    if math.comb(budget // max(marks) + n, n) > cap:
+        return cap + 1
+    ways = [1] + [0] * budget
+    for m in marks:
+        for s in range(m, budget + 1):
+            ways[s] += ways[s - m]
+    return min(sum(ways), cap + 1)
 
 
 def weight_alphabet(twist, c):

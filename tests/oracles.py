@@ -13,6 +13,7 @@ reads, so it checks the Weyl-quotient characters by a second route.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -344,6 +345,13 @@ def kostka_numbers(shape, letters):
 
     peel(shape, letters, ())
     return counts
+
+
+def level_alphabet_size(marks, c):
+    """|{x >= 0 : marks . x <= c}|, by trying every point of the box that
+    holds them."""
+    box = itertools.product(*(range(c // m + 1) for m in marks))
+    return sum(sum(m * x for m, x in zip(marks, v)) <= c for v in box)
 
 
 def dual_coxeter_classical(lie_type, rank):

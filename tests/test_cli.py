@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import io
@@ -19,6 +18,7 @@ from twistblocks import (SchemaError, UnsupportedCombination, UnsupportedType,
                          weight_alphabet)
 from twistblocks.cli import Report, Row, emit_report, main, parse_request, run_request
 from twistblocks import cli, dims
+from oracles import level_alphabet_size
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -426,7 +426,7 @@ PINNED_TABLE = (
                          ids=[_pin_id(d) for d, _ in PINNED_TABLE])
 def test_table_output_is_pinned(doc, digest):
     rep = run_request(parse_request(json.dumps(doc)))
-    text = _emitted(dataclasses.replace(rep, timing=None), "table")
+    text = _emitted(rep._replace(timing=None), "table")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -823,3 +823,123 @@ def test_general_and_factorized_agree_with_the_same_exit_codes(capsys, monkeypat
         assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0, (doc, outcomes)
         zeros += outcomes[0][1] == 0
     assert 0 < zeros < 60
+
+
+def test_malformed_weight_vector_is_the_only_problem():
+    # the malformed vector still counts: two vectors were given for
+    # [lambda, mu], and four give pairs = 2 by default
+    three_point = make_request(computation="three_point",
+                               weights={"twisted": [[1, 0], {"a": 1}],
+                                        "ambient": [[0, 0, 0]]})
+    general = make_request(computation="general", level=2, genus_bar=1,
+                           weights={"twisted": [[1, 0], [0, 1], [0, 0], [1]]})
+    for doc in (three_point, general):
+        last = len(doc["weights"]["twisted"]) - 1
+        with pytest.raises(SchemaError) as err:
+            parse_request(json.dumps(doc))
+        assert str(err.value) == f"weights.twisted[{last}]: expected 2 integer coordinates"
+
+
+def _refused(*args):
+    raise AssertionError("work past the level budget started")
+
+
+# (algebra, twist, computation, the largest accepted level, the alphabet
+# that refuses one level more)
+_LEVEL_EDGES = (
+    (("A", 1), _IDENTITY, "classical", 9999, "D_c of RootDatum(A1)"),
+    (("G", 2), _IDENTITY, "classical", 198, "D_c of RootDatum(G2)"),
+    (("A", 3), {"kind": "diagram", "order": 2}, "crosscheck", 37, "D_c of RootDatum(A3)"),
+)
+
+
+@pytest.mark.parametrize("alg, twist, comp, edge, name", _LEVEL_EDGES,
+                         ids=[f"{a}{r}" for (a, r), *_ in _LEVEL_EDGES])
+def test_level_budget_edges(alg, twist, comp, edge, name, capsys, monkeypatch):
+    rd = build_root_datum(*alg)
+    sizes = [level_alphabet_size(rd.dual_marks, c) for c in (edge, edge + 1)]
+    assert sizes[0] <= cli.MAX_ALPHABET < sizes[1], sizes
+    # neither the accepted nor the refused level builds an alphabet or runs
+    monkeypatch.setattr("twistblocks.twist._bounded_lex", _refused)
+    monkeypatch.setattr("twistblocks.alcove._bounded_lex", _refused)
+    monkeypatch.setattr("twistblocks.cli.run_request", _refused)
+    doc = make_request(algebra={"type": alg[0], "rank": alg[1]}, twist=twist,
+                       computation=comp)
+    assert parse_request(json.dumps({**doc, "level": edge})).level == edge
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "level": edge + 1})))
+    assert main(["-", "--format", "structured"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == f"error: level: {name} has more than {cli.MAX_ALPHABET} members\n"
+
+
+def test_level_budget_keeps_g2_at_level_120_and_refuses_huge_levels():
+    doc = make_request(algebra={"type": "G", "rank": 2}, twist=_IDENTITY,
+                       computation="classical", level=120)
+    assert parse_request(json.dumps(doc)).level == 120      # 3721 points
+    # a level of 4000 digits is counted from the marks, not enumerated
+    doc = make_request(algebra={"type": "E", "rank": 6}, twist=_IDENTITY,
+                       computation="classical", level=10 ** 3999)
+    with pytest.raises(SchemaError, match="D_c of RootDatum.E6. has more than"):
+        parse_request(json.dumps(doc))
+
+
+def _cli_child(text, patch=""):
+    """(stdout bytes, exit code) of `python -m twistblocks.cli - --format
+    structured` on text.  With a patch, the child runs it first and then the
+    module as `-m` does, through runpy with run_name "__main__"."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    args = ["-", "--format", "structured"]
+    if patch:
+        code = (f"import runpy, sys\n{patch}\nsys.argv[1:] = {args!r}\n"
+                "runpy.run_module('twistblocks.cli', run_name='__main__', alter_sys=True)")
+        cmd = [sys.executable, "-c", code]
+    else:
+        cmd = [sys.executable, "-m", "twistblocks.cli", *args]
+    proc = subprocess.run(cmd, input=text.encode(), capture_output=True, env=env,
+                          timeout=60)
+    return proc.stdout, proc.returncode
+
+
+_OFF_BY_ONE_AT_7 = """
+import itertools, twistblocks.kacwalton as kw
+real, calls = kw.kac_walton_dimension, itertools.count()
+def off(*args):
+    value, ledger = real(*args)
+    return value + (next(calls) == 7), ledger
+kw.kac_walton_dimension = off
+"""
+
+
+@pytest.mark.parametrize("doc, patch, code", [
+    *((d, "", 0) for d in _KINDS),
+    (make_request(), _OFF_BY_ONE_AT_7, 1),
+    (make_request(level=10 ** 6), "", 2),
+], ids=[*(d["computation"] for d in _KINDS), "disagreement", "level-budget"])
+def test_process_entry_matches_main_in_process(doc, patch, code, capsys, monkeypatch):
+    # the process entry freezes the collector before exit and changes no byte
+    # and no exit code; main in process leaves the caller's collector alone
+    if patch:
+        monkeypatch.setattr("twistblocks.cli.kac_walton_dimension", _kac_walton_off_by_one_at(7))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    frozen = gc.get_freeze_count()
+    assert main(["-", "--format", "structured"]) == code
+    assert gc.get_freeze_count() == frozen
+    out = capsys.readouterr().out.encode()
+    assert (out != b"") == (code != 2)
+    assert _cli_child(json.dumps(doc), patch) == (out, code)
+
+
+def test_entry_freezes_after_main_and_returns_its_code(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+    assert gc.get_freeze_count() == 0
+    try:
+        assert cli.entry() == 3
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert seen == [0] and frozen > 0
+    # the console script is the same entry
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        assert 'verlinde = "twistblocks.cli:entry"\n' in fh.read()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import operator
@@ -425,7 +424,7 @@ def test_point_table_builds_ambient_exponents_when_read():
 def _reversed_table(data, c):
     """The point table of (data, c) with its points in reverse order."""
     table = _PointTable(data, c)
-    table.enum = dataclasses.replace(table.enum, points=table.enum.points[::-1])
+    table.enum = table.enum._replace(points=table.enum.points[::-1])
     table.fixed = _Characters(data.fixed, table.enum.points, table.n)
     return table
 

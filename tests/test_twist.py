@@ -7,9 +7,10 @@ import pytest
 from twistblocks import (IllegalPair, NonDominant, RootDatum, branch_to_fixed,
                          build_root_datum, build_twist, enumerate_sigma_c,
                          weight_alphabet)
-from twistblocks.twist import _branch_uncached
+from twistblocks.twist import _branch_uncached, bounded_count
 from oracles import (FIXED_TABLE, STANDARD_ROWS, TWISTED_LEVEL_MARKS,
-                     coweight_point, form_value, rational_inverse, weight_sum)
+                     coweight_point, form_value, level_alphabet_size,
+                     rational_inverse, weight_sum)
 
 
 def tw(t, r, kind):
@@ -240,3 +241,13 @@ def test_a2n_is_computed_through_standard4():
     total = sum(m * data.fixed.weyl_dimension(eta) for eta, m in decomp.items())
     assert total == 5
     assert len(weight_alphabet(data, 1)) == len(enumerate_sigma_c(data, 1).points)
+
+
+@pytest.mark.parametrize("marks", [(1,), (2,), (2, 1), (1, 1, 1), (1, 2, 1, 1),
+                                   (1, 2, 2, 3, 2, 1)])
+def test_bounded_count_counts_without_building(marks):
+    for budget in range(10):
+        size = level_alphabet_size(marks, budget)
+        assert bounded_count(marks, budget, 10 ** 9) == size, budget
+        # past the cap, only cap + 1 is reported
+        assert bounded_count(marks, budget, 5) == min(size, 6), budget
