@@ -19,10 +19,13 @@ class AlcoveEnumeration(NamedTuple):
 
 
 class FoldResult(NamedTuple):
-    status: str                       # "interior" | "wall"
-    weight: Optional[tuple] = None    # dominant alcove representative
-    sign: Optional[int] = None        # (-1)^length of the folding word
-    length_parity: int = 0
+    weight: Optional[tuple]   # dominant alcove representative; None on a wall
+    sign: Optional[int]       # (-1)^length of the folding word; None on a wall
+
+    @property
+    def status(self):
+        """"wall" or "interior": whether the fold ends on a wall."""
+        return "wall" if self.weight is None else "interior"
 
 
 def lattice_orders(twist, c):
@@ -61,7 +64,7 @@ def _points(twist, c):
         labels = _bounded_lex([int(m) for m in fixed.marks], c)
         scale = [top] * fixed.rank
     else:
-        labels = weight_alphabet(twist, c).members
+        labels = weight_alphabet(twist, c)
         scale = [(2 if twist.kind == "standard4" else 1) * d for d in fixed.symmetrizer]
     den = twist.shifted_level(c) * top
     return [fixed.exponent_vector([s * (x + 1) for s, x in zip(scale, lab)], den)
@@ -111,11 +114,11 @@ def fold_to_alcove(twist, c, eta):
         return sum(m * a for m, a in zip(marks, v))
 
     x = tuple(int(v) + 1 for v in eta)
-    parity = 0
+    sign = 1
     budget = _FOLD_SLACK + 10 * level(abs(v) for v in x)
     while True:
-        x, sign, on_wall = fixed.dominant_rep_signed(x)
-        parity ^= sign < 0
+        x, s, on_wall = fixed.dominant_rep_signed(x)
+        sign *= s
         lvl = level(x)
         if lvl <= nshift:
             break
@@ -123,9 +126,8 @@ def fold_to_alcove(twist, c, eta):
         if budget < 0:
             raise AssertionError("folding failed to terminate; corrupted input")
         x = tuple(v - (lvl - nshift) * t for v, t in zip(x, theta))
-        parity ^= 1
+        sign = -sign
 
     if on_wall or lvl == nshift:
-        return FoldResult(status="wall", length_parity=parity)
-    return FoldResult(status="interior", weight=tuple(v - 1 for v in x),
-                      sign=1 - 2 * parity, length_parity=parity)
+        return FoldResult(weight=None, sign=None)
+    return FoldResult(weight=tuple(v - 1 for v in x), sign=sign)

@@ -149,6 +149,8 @@ class _PointTable:
 
     @functools.cached_property
     def ambient(self):
+        if self.twist.kind == "identity":    # R = I: the same datum and points
+            return self.fixed
         ys = [self.twist.ambient_exponents(y) for y in self.enum.points]
         return _Characters(self.twist.ambient, ys, self.n)
 

@@ -15,19 +15,17 @@ class KWContribution(NamedTuple):
     multiplicity: int
     sign: Optional[int]        # None when the constituent folds onto a wall
     weight: Optional[tuple]    # alcove weight of the fold; None on a wall
-    length_parity: int = 0
 
 
 class KWLedger(NamedTuple):
-    contributions: tuple
-    total: int
+    contributions: tuple       # KWContribution per constituent, sorted by eta
 
 
 @memo
 def _folded(twist, c, mu, nu):
-    """The contributions of the constituents kappa of V(mu) (x) Res V(nu),
-    sorted by kappa and each folded into the level-c alcove, and the signed
-    total of the folds at every alcove weight they reach.
+    """The ledger of the constituents kappa of V(mu) (x) Res V(nu), sorted
+    by kappa and each folded into the level-c alcove, and the signed total
+    of the folds at every alcove weight they reach.
 
     Nothing here depends on lambda, so one ledger serves every row with
     this (mu, nu).
@@ -44,9 +42,8 @@ def _folded(twist, c, mu, nu):
         if fold.weight is not None:
             totals[fold.weight] = totals.get(fold.weight, 0) + fold.sign * m
         contributions.append(KWContribution(
-            eta=kappa, multiplicity=m, sign=fold.sign, weight=fold.weight,
-            length_parity=fold.length_parity))
-    return tuple(contributions), totals
+            eta=kappa, multiplicity=m, sign=fold.sign, weight=fold.weight))
+    return KWLedger(contributions=tuple(contributions)), totals
 
 
 def kac_walton_dimension(twist, c, lam, mu, nu):
@@ -59,9 +56,8 @@ def kac_walton_dimension(twist, c, lam, mu, nu):
     """
     lam, mu, nu = _check_three_point(twist, c, lam, mu, nu,
                                      "the Kac-Walton recursion")
-    contributions, totals = _folded(twist, c, mu, nu)
-    total = totals.get(lam, 0)
-    return total, KWLedger(contributions=contributions, total=total)
+    ledger, totals = _folded(twist, c, mu, nu)
+    return totals.get(lam, 0), ledger
 
 
 def euler_characteristic_report(twist, c, lam, mu, nu):
@@ -70,13 +66,13 @@ def euler_characteristic_report(twist, c, lam, mu, nu):
     header = (f"Kac-Walton ledger: ({twist.ambient.lie_type}{twist.ambient.rank}, "
               f"{twist.kind}), c={c}, lambda={lam}, mu={mu}, nu={nu}")
     lam = tuple(map(int, lam))
-    by_parity = {0: 0, 1: 0}
+    by_parity = [0, 0]
     walls = 0
     for con in ledger.contributions:
         if con.sign is None:
             walls += 1
         elif con.weight == lam:
-            by_parity[con.length_parity] += con.sign * con.multiplicity
+            by_parity[con.sign < 0] += con.sign * con.multiplicity
     lines = [header]
     for p in (0, 1):
         lines.append(f"  length parity {p}: {by_parity[p]:+d}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import IllegalPair, NonDominant, NotInAlphabet
 from .liecore import Exponents, build_root_datum
-from .util import Record, memo
+from .util import memo
 
 
 def _fold_spec(ambient, tag):
@@ -168,21 +168,15 @@ def _identity_twist(ambient):
                      theta_sigma=ambient.highest_root, level_marks=marks)
 
 
-class WeightSet(Record):
-    """The level-c alphabet D_{c,sigma}, deterministically ordered."""
-    __slots__ = ("members",)
+class WeightSet(tuple):
+    """The level-c alphabet D_{c,sigma}, deterministically ordered: a tuple
+    of weights, shared by every caller and so read only."""
+    __slots__ = ()
 
-    def __init__(self, members):
-        self.members = members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+    @property
+    def members(self):
+        """The alphabet itself, the tuple of its weights."""
+        return self
 
 
 def _bounded_lex(marks, budget):
@@ -236,7 +230,7 @@ def _alphabet(twist, c):
         for lam in members:
             assert twist.fixed.dual_weight(lam) == lam, \
                 "twisted alphabet members must be self-dual"
-    return WeightSet(members=tuple(members))
+    return WeightSet(members)
 
 
 def ambient_alphabet(twist, c):

@@ -1,5 +1,5 @@
-"""Small exact-arithmetic helpers: integer determinants and inverses, the
-package's one cache idiom and its base for slotted records."""
+"""Small exact-arithmetic helpers: integer determinants and inverses, and
+the package's one cache idiom."""
 
 import functools
 import threading
@@ -26,30 +26,6 @@ def memo(fn):
 
     cached.cache = cache
     return cached
-
-
-class Record:
-    """Base of a slotted record whose fields are its __slots__: equal when
-    the class and every field are, and unhashable unless a subclass says how
-    (the methods a dataclass would write, without generating code)."""
-    __slots__ = ()
-    __hash__ = None
-
-    def _astuple(self):
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def _replace(self, **changes):
-        """A new record with the named fields changed, as NamedTuple's."""
-        return type(self)(**dict(zip(self.__slots__, self._astuple()), **changes))
 
 
 def integer_determinant(mat):

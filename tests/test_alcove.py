@@ -195,7 +195,20 @@ def test_fold_idempotent_on_alphabet():
                 res = fold_to_alcove(data, c, lam)
                 assert res.status == "interior"
                 assert res.weight == lam and res.sign == 1
-                assert res.length_parity == 0
+
+
+def test_fold_status_is_wall_exactly_when_weight_is_none():
+    # a fold records its alcove weight and sign; the status is read from them
+    for (t, r, kind) in STANDARD_ROWS:
+        data = tw(t, r, kind)
+        for c in (1, 2):
+            statuses = set()
+            for eta in itertools.product(range(4), repeat=data.fixed.rank):
+                res = fold_to_alcove(data, c, eta)
+                assert res._fields == ("weight", "sign")
+                assert (res.status == "wall") == (res.weight is None) == (res.sign is None)
+                statuses.add(res.status)
+            assert statuses == {"wall", "interior"}, (t, r, kind, c)
 
 
 def test_fold_wall_example():
@@ -215,7 +228,7 @@ def test_fold_rank1_mirror_oracle():
     assert fold_to_alcove(data, 1, (1,)).status == "wall"
     res = fold_to_alcove(data, 1, (2,))
     assert res.status == "interior"
-    assert res.weight == (0,) and res.sign == -1 and res.length_parity == 1
+    assert res.weight == (0,) and res.sign == -1
 
 
 def test_fold_translation_invariance():

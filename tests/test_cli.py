@@ -18,7 +18,7 @@ from twistblocks import (SchemaError, UnsupportedCombination, UnsupportedType,
                          weight_alphabet)
 from twistblocks.cli import Report, Row, emit_report, main, parse_request, run_request
 from twistblocks import cli, dims
-from oracles import level_alphabet_size
+from oracles import TWISTED_LEVEL_MARKS, level_alphabet_size
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -844,18 +844,22 @@ def _refused(*args):
     raise AssertionError("work past the level budget started")
 
 
-# (algebra, twist, computation, the largest accepted level, the alphabet
-# that refuses one level more)
+# (algebra, twist, computation with its weights, the largest accepted
+# level, the alphabet that refuses one level more).  The twisted edge is a
+# one-row three_point request: a crosscheck there meets the row budget first
 _LEVEL_EDGES = (
-    (("A", 1), _IDENTITY, "classical", 9999, "D_c of RootDatum(A1)"),
-    (("G", 2), _IDENTITY, "classical", 198, "D_c of RootDatum(G2)"),
-    (("A", 3), {"kind": "diagram", "order": 2}, "crosscheck", 37, "D_c of RootDatum(A3)"),
+    (("A", 1), _IDENTITY, {"computation": "classical"}, 9999, "D_c of RootDatum(A1)"),
+    (("G", 2), _IDENTITY, {"computation": "classical"}, 198, "D_c of RootDatum(G2)"),
+    (("A", 3), {"kind": "diagram", "order": 2},
+     {"computation": "three_point",
+      "weights": {"twisted": [[0, 0], [0, 0]], "ambient": [[0, 0, 0]]}},
+     37, "D_c of RootDatum(A3)"),
 )
 
 
-@pytest.mark.parametrize("alg, twist, comp, edge, name", _LEVEL_EDGES,
+@pytest.mark.parametrize("alg, twist, fields, edge, name", _LEVEL_EDGES,
                          ids=[f"{a}{r}" for (a, r), *_ in _LEVEL_EDGES])
-def test_level_budget_edges(alg, twist, comp, edge, name, capsys, monkeypatch):
+def test_level_budget_edges(alg, twist, fields, edge, name, capsys, monkeypatch):
     rd = build_root_datum(*alg)
     sizes = [level_alphabet_size(rd.dual_marks, c) for c in (edge, edge + 1)]
     assert sizes[0] <= cli.MAX_ALPHABET < sizes[1], sizes
@@ -863,14 +867,64 @@ def test_level_budget_edges(alg, twist, comp, edge, name, capsys, monkeypatch):
     monkeypatch.setattr("twistblocks.twist._bounded_lex", _refused)
     monkeypatch.setattr("twistblocks.alcove._bounded_lex", _refused)
     monkeypatch.setattr("twistblocks.cli.run_request", _refused)
-    doc = make_request(algebra={"type": alg[0], "rank": alg[1]}, twist=twist,
-                       computation=comp)
+    doc = make_request(algebra={"type": alg[0], "rank": alg[1]}, twist=twist, **fields)
     assert parse_request(json.dumps({**doc, "level": edge})).level == edge
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "level": edge + 1})))
     assert main(["-", "--format", "structured"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err == f"error: level: {name} has more than {cli.MAX_ALPHABET} members\n"
+
+
+# (computation, the largest accepted level of (A3, diagram2), the rows it
+# writes, the rows one level more)
+_ROW_EDGES = (("crosscheck", 7, 48000, 103125), ("fusion_table", 11, 74088, 117649))
+
+
+@pytest.mark.parametrize("comp, edge, rows, over", _ROW_EDGES,
+                         ids=[comp for comp, *_ in _ROW_EDGES])
+def test_row_budget_edges(comp, edge, rows, over, capsys, monkeypatch):
+    twisted, ambient = TWISTED_LEVEL_MARKS[("A", 3, "diagram2")], (1, 1, 1)
+
+    def table_rows(c):
+        n_sigma = level_alphabet_size(twisted, c)
+        return n_sigma ** 2 * (level_alphabet_size(ambient, c) if comp == "crosscheck"
+                               else n_sigma)
+
+    assert [table_rows(edge), table_rows(edge + 1)] == [rows, over]
+    assert rows <= cli.MAX_ROWS < over
+    # neither the accepted nor the refused level builds an alphabet or runs
+    monkeypatch.setattr("twistblocks.twist._bounded_lex", _refused)
+    monkeypatch.setattr("twistblocks.alcove._bounded_lex", _refused)
+    monkeypatch.setattr("twistblocks.cli.run_request", _refused)
+    doc = make_request(computation=comp)
+    assert parse_request(json.dumps({**doc, "level": edge})).level == edge
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "level": edge + 1})))
+    assert main(["-", "--format", "structured"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == f"error: level: {comp} would write {over} rows, more than {cli.MAX_ROWS}\n"
+
+
+def test_member_budget_is_checked_before_the_row_budget():
+    # past both budgets, a refusal names only the member budget
+    doc = make_request(level=38)
+    with pytest.raises(SchemaError) as err:
+        parse_request(json.dumps(doc))
+    assert str(err.value) == (f"level: D_c of RootDatum(A3) has more than "
+                              f"{cli.MAX_ALPHABET} members")
+
+
+def test_identity_twist_refuses_ramified_pairs_while_parsing():
+    # general and factorized alike, before any pipeline runs
+    for comp in ("general", "factorized"):
+        doc = make_request(twist=_IDENTITY, algebra={"type": "A", "rank": 1},
+                           computation=comp, genus_bar=0, pairs=1,
+                           weights={"twisted": [[0], [0]], "ambient": []})
+        with pytest.raises(SchemaError) as err:
+            parse_request(json.dumps(doc))
+        assert str(err.value) == \
+            f"pairs: {comp} with the identity twist admits no ramified pairs"
 
 
 def test_level_budget_keeps_g2_at_level_120_and_refuses_huge_levels():

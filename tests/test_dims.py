@@ -421,6 +421,26 @@ def test_point_table_builds_ambient_exponents_when_read():
     assert np.array_equal(chi, _table(data, 2).ambient.char((1, 0, 0), 2))
 
 
+def test_identity_point_table_holds_one_character_table():
+    # R = I for the identity twist, so the ambient characters are the fixed
+    # ones; a sum with Delta^(1-g), g != 1, gives what a second table gave
+    for (t, r, c) in (("A", 2, 3), ("B", 3, 2), ("G", 2, 2)):
+        ident = tw(t, r, "identity")
+        table = _table(ident, c)
+        assert table.ambient is table.fixed
+        apart = _PointTable(ident, c)
+        apart.ambient = _Characters(ident.ambient, [ident.ambient_exponents(y)
+                                                    for y in apart.enum.points], apart.n)
+        assert apart.ambient is not apart.fixed
+        amb = ambient_alphabet(ident, c)
+        for g in (0, 2, 3):
+            factor = ((table.enum.order_T, g - 1),)
+            for weights in (amb[:3], amb[-3:]):
+                args = dict(fixed=weights, dexp=g - 1)
+                assert _point_sum(table, factor, **args) == \
+                    _point_sum(apart, factor, **args), (t, r, c, g, weights)
+
+
 def _reversed_table(data, c):
     """The point table of (data, c) with its points in reverse order."""
     table = _PointTable(data, c)

@@ -205,6 +205,23 @@ def test_build_twist_is_one_instance_per_ambient_instance():
         assert tw("A", 3, kind) is not data
 
 
+def test_alphabet_is_a_tuple_equal_to_its_members():
+    for (t, r, kind) in STANDARD_ROWS:
+        alphabet = weight_alphabet(tw(t, r, kind), 2)
+        assert isinstance(alphabet, tuple)
+        assert alphabet == alphabet.members == tuple(alphabet)
+
+
+def test_memoized_alphabet_is_read_only():
+    # every caller shares the memoized alphabet, so none may empty it
+    data = tw("A", 3, "diagram2")
+    alphabet = weight_alphabet(data, 2)
+    with pytest.raises(AttributeError):
+        alphabet.members = ()
+    assert weight_alphabet(data, 2) is alphabet
+    assert alphabet.members == ((0, 0), (0, 1), (1, 0), (2, 0))
+
+
 def test_alphabet_examples():
     a1 = tw("A", 1, "identity")
     assert weight_alphabet(a1, 2).members == ((0,), (1,), (2,))
